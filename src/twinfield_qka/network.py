@@ -8,17 +8,20 @@ for odd N the segment count n satisfies 2n + 1 = N.  Each segment runs the
 three-party protocol on its two links; shared parties then chain the
 per-segment keys into one group key by public XOR announcements.
 
-Segmentation uses a deepest-leaf-first greedy ordering with backtracking,
-so it is deterministic and always returns a valid decomposition when one
-exists (guaranteed on trees of practical key-agreement size; the search is
-exact, so pathological shapes cost time, not correctness).
+Two valid segments never share an edge, so segmentation is a partition of
+the tree's N-1 edges into pairs of edges that meet at a party, plus one
+single edge when N is even.  Such a pairing always exists (Kotzig 1957: a
+connected graph with an even number of edges splits into paths of length
+two), and a leaf-up walk that pairs the open child edges at each party and
+hands any odd one to the parent edge finds one.  The walk is a loop, not a
+recursion, and costs O(N log N) for sorting neighbours by id.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,9 +40,7 @@ from .keyrate import (
 
 def _id_key(party):
     """Deterministic sort key for party ids of mixed types."""
-    if isinstance(party, bool):
-        return (1, str(party))
-    if isinstance(party, (int, float)):
+    if isinstance(party, (int, float)) and not isinstance(party, bool):
         return (0, float(party), "")
     return (1, 0.0, str(party))
 
@@ -113,13 +114,23 @@ class PartyGraph:
             ]
         known = set(ids)
         clean = []
-        for a, b, km in edges:
+        for edge in edges:
+            try:
+                a, b, km = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge must be (a, b, km), got {edge!r}") from None
             if a not in known or b not in known:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party")
             if a == b:
                 raise ValidationError(f"self-loop on party {a!r}")
-            if km <= 0:
-                raise ValidationError(f"edge ({a!r}, {b!r}) must have distance > 0, got {km!r}")
+            if type(km) is not float and (
+                isinstance(km, bool) or not isinstance(km, numbers.Real)
+            ):
+                raise ValidationError(f"edge ({a!r}, {b!r}) distance must be a number, got {km!r}")
+            if not 0 < km < math.inf:  # also false for NaN
+                raise ValidationError(
+                    f"edge ({a!r}, {b!r}) must have a finite distance > 0, got {km!r}"
+                )
             clean.append((a, b, float(km)))
         return cls(parties=tuple(ids), coordinates=coords, edges=tuple(clean))
 
@@ -127,7 +138,7 @@ class PartyGraph:
     def from_json(cls, text: str) -> "PartyGraph":
         """Parse {"parties": [{"id", "x"?, "y"?}, ...], "edges"?: [{"a","b","km"}]}."""
         doc = json.loads(text)
-        if "parties" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("parties"), list):
             raise ValidationError('network document needs a "parties" list')
         parties = []
         for entry in doc["parties"]:
@@ -141,8 +152,14 @@ class PartyGraph:
             else:
                 parties.append(entry)
         edges = None
-        if "edges" in doc and doc["edges"] is not None:
-            edges = [(e["a"], e["b"], e["km"]) for e in doc["edges"]]
+        if doc.get("edges") is not None:
+            if not isinstance(doc["edges"], list):
+                raise ValidationError('"edges" must be a list of {"a", "b", "km"} entries')
+            edges = []
+            for e in doc["edges"]:
+                if not isinstance(e, dict) or not {"a", "b", "km"} <= e.keys():
+                    raise ValidationError(f'edge entry needs "a", "b" and "km": {e!r}')
+                edges.append((e["a"], e["b"], e["km"]))
         return cls.build(parties, edges)
 
 
@@ -195,29 +212,22 @@ def _tree_maps(tree_edges):
     return adj, dist
 
 
-def _sharing_connected(member_sets) -> bool:
-    n = len(member_sets)
-    if n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(n):
-            if j not in seen and member_sets[i] & member_sets[j]:
-                seen.add(j)
-                queue.append(j)
-    return len(seen) == n
-
-
 def segment_tree(tree_edges) -> list:
     """Decompose a spanning tree into overlapping 3-party segments.
 
-    Returns Segments in discovery order.  Every vertex is covered, each
-    triple is a 3-vertex path in the tree, two segments never share more
-    than one vertex, the segment-sharing graph is connected, and the
-    counts are exact: (N-1)/2 triples for odd N, (N-2)/2 triples plus one
-    pair for even N.
+    Segments are the tree's edges paired up at shared vertices: each triple
+    (a, c, b) takes the two edges a-c and c-b, and for even N exactly one
+    edge is left over as the pair segment.  Every vertex is covered, two
+    segments never share more than one vertex, the segment-sharing graph is
+    connected, and the counts are exact: (N-1)/2 triples for odd N, (N-2)/2
+    triples plus one pair for even N.
+
+    The tree is rooted at the smallest id and walked leaf-up (reverse BFS
+    order, children in id order).  At each vertex the child edges still open
+    below it are paired into triples centred on it; an odd one out is paired
+    with the vertex's own parent edge.  Only the root can be left with an
+    unpaired edge, which happens exactly when N is even.  Segments are
+    returned in the order the walk forms them.
     """
     adj, dist = _tree_maps(tree_edges)
     nodes = sorted(adj, key=_id_key)
@@ -227,168 +237,45 @@ def segment_tree(tree_edges) -> list:
     if len(tree_edges) != n_nodes - 1:
         raise PlanningError(f"expected a tree, got {len(tree_edges)} edges over {n_nodes} vertices")
 
-    if n_nodes == 2:
-        a, b = nodes
-        return [Segment(members=(a, b), center=a, arm_distances=(dist[(a, b)],))]
-
-    # BFS depths from the smallest id; deepest uncovered vertices are
-    # settled first so segments grow from the leaves inward.
+    rank = {v: i for i, v in enumerate(nodes)}.__getitem__
     root = nodes[0]
-    depth = {root: 0}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                queue.append(w)
-
-    triple_target = (n_nodes - 1) // 2 if n_nodes % 2 else (n_nodes - 2) // 2
-    pair_target = 0 if n_nodes % 2 else 1
-
-    # Every 3-vertex path and edge of the tree, in deterministic order;
-    # used as bridge candidates once everything is covered.
-    all_triples = []
-    for w in nodes:
-        for a, b in combinations(sorted(adj[w], key=_id_key), 2):
-            all_triples.append((a, w, b))
-    all_triples.sort(
-        key=lambda t: (tuple(_id_key(v) for v in sorted(t, key=_id_key)), _id_key(t[1]))
-    )
-    all_pairs = sorted(
-        (tuple(sorted((a, b), key=_id_key)) for a, b, _km in tree_edges),
-        key=lambda p: (_id_key(p[0]), _id_key(p[1])),
-    )
-
-    segments = []  # (members_in_path_order, member_set)
-    covered = set()
-
-    def shares_ok(member_set):
-        return all(len(member_set & s) <= 1 for _, s in segments)
-
-    def sharing_components():
-        label = list(range(len(segments)))
-
-        def find(i):
-            while label[i] != i:
-                label[i] = label[label[i]]
-                i = label[i]
-            return i
-
-        for i in range(len(segments)):
-            for j in range(i + 1, len(segments)):
-                if segments[i][1] & segments[j][1]:
-                    label[find(i)] = find(j)
-        return [find(i) for i in range(len(segments))]
-
-    def place_bridges():
-        """All parties covered; add zero-coverage segments until the counts
-        are exact and the sharing graph is connected.
-
-        With exact counts the total overlap is pinned at (segments - 1), so
-        any usable bridge must merge at least two sharing components."""
-        triples = sum(1 for m, _ in segments if len(m) == 3)
-        pairs = len(segments) - triples
-        if triples == triple_target and pairs == pair_target:
-            if _sharing_connected([s for _, s in segments]):
-                return [m for m, _ in segments]
-            return None
-        cands = []
-        if triples < triple_target:
-            cands.extend((t, 3) for t in all_triples)
-        if pairs < pair_target:
-            cands.extend((p, 2) for p in all_pairs)
-        labels = sharing_components()
-        for members, _size in cands:
-            member_set = set(members)
-            if not shares_ok(member_set):
-                continue
-            touched = {
-                labels[i] for i, (_, s) in enumerate(segments) if member_set & s
-            }
-            if len(touched) < 2:
-                continue
-            segments.append((members, member_set))
-            result = place_bridges()
-            if result is not None:
-                return result
-            segments.pop()
-        return None
-
-    def solve():
-        uncovered = [v for v in nodes if v not in covered]
-        if not uncovered:
-            return place_bridges()
-        u = min(uncovered, key=lambda v: (-depth[v], _id_key(v)))
-
-        neighbors = sorted(adj[u], key=_id_key)
-        cands = []
-        for a, b in combinations(neighbors, 2):
-            cands.append((a, u, b))
-        for w in neighbors:
-            for z in sorted(adj[w], key=_id_key):
-                if z != u:
-                    cands.append((u, w, z))
-        ideal = 3 if not segments else 2
-        cands.sort(
-            key=lambda t: (
-                abs(len(set(t) - covered) - ideal),
-                tuple(_id_key(v) for v in sorted(t, key=_id_key)),
-                _id_key(t[1]),
-            )
-        )
-
-        triples = sum(1 for m, _ in segments if len(m) == 3)
-        pairs = len(segments) - triples
-        trials = [(t, 3) for t in cands]
-        if pairs < pair_target:
-            trials.extend(((u, w), 2) for w in neighbors)
-
-        for members, size in trials:
-            if size == 3 and triples >= triple_target:
-                continue
-            member_set = set(members)
-            if not shares_ok(member_set):
-                continue
-            segments.append((members, member_set))
-            newly = member_set - covered
-            covered.update(newly)
-            result = solve()
-            if result is not None:
-                return result
-            covered.difference_update(newly)
-            segments.pop()
-        return None
-
-    plan = solve()
-    if plan is None:
+    parent = {root: None}
+    order = [root]
+    for v in order:  # BFS: the list grows while it is walked
+        for w in sorted(adj[v], key=rank):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    if len(order) != n_nodes:
         raise PlanningError(
-            f"no valid segment decomposition found for this {n_nodes}-vertex tree"
+            f"the {len(tree_edges)} edges do not connect all {n_nodes} parties"
         )
 
+    def triple(a, c, b):
+        if rank(b) < rank(a):
+            a, b = b, a
+        return Segment(members=(a, c, b), center=c, arm_distances=(dist[(a, c)], dist[(c, b)]))
+
+    # BFS lists each vertex's children contiguously and in id order, so the
+    # reverse walk appends them to open_kids in reverse id order.
+    open_kids = {v: [] for v in order}
     out = []
-    for idx, members in enumerate(plan):
-        if len(members) == 3:
-            a, c, b = members
-            if _id_key(b) < _id_key(a):
-                a, b = b, a
-            out.append(
-                Segment(
-                    members=(a, c, b),
-                    center=c,
-                    arm_distances=(dist[(a, c)], dist[(c, b)]),
-                )
-            )
-        else:
-            a, b = sorted(members, key=_id_key)
-            others = [set(m) for j, m in enumerate(plan) if j != idx]
-            shared = sorted(
-                (v for v in members if any(v in o for o in others)), key=_id_key
-            )
-            center = shared[0] if shared else min(members, key=_id_key)
-            out.append(
-                Segment(members=(a, b), center=center, arm_distances=(dist[(a, b)],))
-            )
+    for v in reversed(order):
+        kids = open_kids.pop(v)[::-1]
+        for i in range(0, len(kids) - 1, 2):
+            out.append(triple(kids[i], v, kids[i + 1]))
+        up = parent[v]
+        if len(kids) % 2:
+            if up is not None:
+                out.append(triple(kids[-1], v, up))
+            else:
+                a, b = v, kids[-1]  # the root has the smallest id
+                # Centre on the first shared member, else on a.  A member is
+                # shared iff another tree edge, and so another segment, meets it.
+                center = b if len(adj[a]) == 1 < len(adj[b]) else a
+                out.append(Segment(members=(a, b), center=center, arm_distances=(dist[(a, b)],)))
+        elif up is not None:
+            open_kids[up].append(v)
     return out
 
 
@@ -451,19 +338,27 @@ def plan_network(graph: PartyGraph, mu_policy=0.2, delta_ec: float = 0.0) -> Net
 
 
 def _segment_adjacency_tree(plan: NetworkPlan):
-    """BFS tree over segments (nodes) connected by shared parties."""
-    sets = [set(s.members) for s in plan.segments]
-    n = len(sets)
+    """BFS tree over segments (nodes) connected by shared parties.
+
+    Neighbours of a segment are visited in index order.  A party's segments
+    are all reached the first time any of them is expanded, so each party's
+    list is scanned once instead of intersecting every pair of segments.
+    """
+    by_party = {}
+    for i, seg in enumerate(plan.segments):
+        for p in seg.members:
+            by_party.setdefault(p, []).append(i)
+    n = len(plan.segments)
     parent = {0: None}
     order = [0]
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in range(n):
-            if j not in parent and sets[i] & sets[j]:
-                parent[j] = i
-                order.append(j)
-                queue.append(j)
+    for i in order:  # BFS: the list grows while it is walked
+        found = []
+        for p in plan.segments[i].members:
+            for j in by_party.pop(p, ()):
+                if j not in parent:
+                    parent[j] = i
+                    found.append(j)
+        order.extend(sorted(found))
     if len(order) != n:
         raise PlanningError("segments do not chain into one connected group")
     return parent, order

@@ -368,14 +368,14 @@ def session_result_to_dict(result: SessionResult) -> dict:
 
 def format_session_result(result: SessionResult) -> str:
     """Aligned human-readable summary table."""
-    d = session_result_to_dict(result)
+    counts = result.conclusive_counts
     rows = [
-        ("conclusive AB / BC", f"{d['conclusive_counts']['AB']} / {d['conclusive_counts']['BC']}"),
-        ("qber AB / BC", f"{d['qber_ab']:.6g} / {d['qber_bc']:.6g}"),
-        ("sifted rate (bottleneck)", f"{d['sifted_rate']:.6g}"),
-        ("holevo deduction chi", f"{d['chi']:.6g}"),
-        ("secret key rate /pulse", f"{d['skr_per_pulse']:.6g}"),
-        ("secret key rate bps", f"{d['skr_bps']:.6g}"),
+        ("conclusive AB / BC", f"{counts['AB']} / {counts['BC']}"),
+        ("qber AB / BC", f"{result.qber_ab:.6g} / {result.qber_bc:.6g}"),
+        ("sifted rate (bottleneck)", f"{result.sifted_rate:.6g}"),
+        ("holevo deduction chi", f"{result.chi:.6g}"),
+        ("secret key rate /pulse", f"{result.skr_per_pulse:.6g}"),
+        ("secret key rate bps", f"{result.skr_bps:.6g}"),
     ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)

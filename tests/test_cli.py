@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface."""
 
+import io
 import json
+import time
 
 import numpy as np
 import pytest
 
+from twinfield_qka import simulation
 from twinfield_qka.cli import dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
+from twinfield_qka.network import Segment
+from test_network import assert_valid_decomposition
 
 FIG_SEVEN_JSON = json.dumps(
     {
@@ -124,6 +129,28 @@ class TestSimulateCommand:
         assert dispatch(["simulate", "--pulses", "0"]) == 1
         capsys.readouterr()
 
+    def test_keys_digested_once_and_table_unchanged(self, capsys, monkeypatch):
+        calls = []
+        digest = simulation._key_digest
+
+        def counting_digest(bits):
+            calls.append(len(bits))
+            return digest(bits)
+
+        monkeypatch.setattr(simulation, "_key_digest", counting_digest)
+        args = ["simulate", "--pulses", "200000", "--mu", "0.2",
+                "--distance-km", "250", "--seed", "11"]
+        assert dispatch(args) == 0
+        assert len(calls) == 4
+        assert capsys.readouterr().err == (
+            "conclusive AB / BC        4369 / 4394\n"
+            "qber AB / BC              0.000457771 / 0.000682749\n"
+            "sifted rate (bottleneck)  0.021845\n"
+            "holevo deduction chi      0.841787\n"
+            "secret key rate /pulse    0.00345616\n"
+            "secret key rate bps       3.45616e+06\n"
+        )
+
 
 class TestPlanCommand:
     def test_seven_party_plan(self, tmp_path, capsys):
@@ -148,6 +175,62 @@ class TestPlanCommand:
     def test_missing_file(self, capsys):
         assert dispatch(["plan", "/nonexistent/net.json"]) == 1
         capsys.readouterr()
+
+    def test_long_path_plans_without_recursion(self, capsys, monkeypatch):
+        # One segment per stack frame used to overflow the recursion limit.
+        n = 2001
+        net = {
+            "parties": [{"id": i} for i in range(n)],
+            "edges": [{"a": i, "b": i + 1, "km": 10.0} for i in range(n - 1)],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
+        t0 = time.perf_counter()
+        assert dispatch(["plan", "-"]) == 0
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert len(doc["segments"]) == 1000
+        assert doc["reconciliation"]["all_parties_converge"] is True
+        segments = [
+            Segment(members=tuple(s["members"]), center=s["center"],
+                    arm_distances=tuple(s["link_km"]))
+            for s in doc["segments"]
+        ]
+        assert_valid_decomposition([tuple(e) for e in doc["tree_edges"]], segments)
+        assert elapsed < 10.0, f"plan took {elapsed:.2f}s on a 2001-party path"
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            {"b": 2, "km": 5.0},
+            {"a": 1, "km": 5.0},
+            {"a": 1, "b": 2},
+            {"a": 1, "b": 2, "km": "x"},
+            {"a": 1, "b": 2, "km": True},
+            {"a": 1, "b": 2, "km": None},
+            {"a": 1, "b": 2, "km": float("nan")},
+            {"a": 1, "b": 2, "km": float("inf")},
+            [1, 2, 5.0],
+        ],
+    )
+    def test_malformed_edge_is_a_clean_error(self, edge, capsys, monkeypatch):
+        net = {"parties": [{"id": 1}, {"id": 2}], "edges": [edge]}
+        self.assert_clean_error(net, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("net", [[1, 2], {"parties": 5}, {"parties": [1, 2], "edges": 3}])
+    def test_malformed_document_is_a_clean_error(self, net, capsys, monkeypatch):
+        self.assert_clean_error(net, capsys, monkeypatch)
+
+    @staticmethod
+    def assert_clean_error(net, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
+        assert dispatch(["plan", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 class TestSelftestCommand:

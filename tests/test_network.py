@@ -1,6 +1,7 @@
 """Unit tests for network planning and cross-segment reconciliation."""
 
 import heapq
+import time
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from twinfield_qka.errors import PlanningError, UsageError, ValidationError
 from twinfield_qka.network import (
     PartyGraph,
+    _segment_adjacency_tree,
     derive_global_key,
     minimum_network,
     plan_network,
@@ -94,6 +96,37 @@ def assert_valid_decomposition(tree_edges, segments):
         assert seen == set(range(len(sets))), "segment sharing graph must be connected"
 
 
+def assert_edge_partition(tree_edges, segments):
+    """Linear-time check: the segments' links partition the tree's edges.
+
+    Together with the counts this implies everything
+    assert_valid_decomposition checks, without its all-pairs loop.
+    """
+    tree_pairs = {frozenset((a, b)) for a, b, _ in tree_edges}
+    used = []
+    for seg in segments:
+        m = seg.members
+        used.extend(frozenset(m[i:i + 2]) for i in range(len(m) - 1))
+        if len(m) == 3:
+            assert seg.center == m[1]
+    assert len(used) == len(tree_pairs) == len(set(used))
+    assert set(used) == tree_pairs
+    assert sum(1 for s in segments if s.is_pair) == len(tree_edges) % 2
+
+
+def all_pairs_adjacency_tree(plan):
+    """Oracle: BFS over segments, testing every pair for a shared party."""
+    sets = [set(s.members) for s in plan.segments]
+    parent = {0: None}
+    order = [0]
+    for i in order:
+        for j in range(len(sets)):
+            if j not in parent and sets[i] & sets[j]:
+                parent[j] = i
+                order.append(j)
+    return parent, order
+
+
 class TestPartyGraph:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -112,6 +145,15 @@ class TestPartyGraph:
         dists = {frozenset((a, b)): km for a, b, km in g.edges}
         assert dists[frozenset(("a", "b"))] == pytest.approx(5.0)
         assert len(g.edges) == 3
+
+    @pytest.mark.parametrize("km", ["x", True, None, float("nan"), float("inf")])
+    def test_bad_distance_rejected(self, km):
+        with pytest.raises(ValidationError):
+            PartyGraph.build([1, 2], [(1, 2, km)])
+
+    def test_edge_arity_rejected(self):
+        with pytest.raises(ValidationError):
+            PartyGraph.build([1, 2], [(1, 2)])
 
     def test_json_parsing(self):
         text = """
@@ -238,6 +280,54 @@ class TestSegmentTree:
         with pytest.raises(PlanningError):
             segment_tree([])
 
+    def test_cycle_that_leaves_a_party_out_rejected(self):
+        # N-1 edges, but the triangle 1-2-3 leaves party 4 unreached.
+        edges = [(1, 2, 5.0), (2, 3, 5.0), (1, 3, 5.0), (4, 5, 5.0)]
+        with pytest.raises(PlanningError, match="do not connect"):
+            segment_tree(edges)
+
+    def test_even_star_pair_is_centred_on_the_hub(self):
+        for n in (4, 6, 8, 10):
+            edges = [(0, i, 10.0 + i) for i in range(1, n)]
+            segments = segment_tree(edges)
+            assert_valid_decomposition(edges, segments)
+            assert all(s.center == 0 for s in segments)
+            assert sum(1 for s in segments if s.is_pair) == 1
+
+    def test_pair_centred_on_its_first_shared_party(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 4, 6, 8, 10, 12):
+            for _ in range(30):
+                segments = segment_tree(random_tree_edges(n, rng))
+                (pair,) = [s for s in segments if s.is_pair]
+                others = {p for s in segments if s is not pair for p in s.members}
+                shared = [p for p in sorted(pair.members) if p in others]
+                assert pair.center == (shared[0] if shared else min(pair.members))
+
+    def test_bool_and_string_ids_mix(self):
+        # JSON ids may be booleans; they sort with the strings, not the numbers.
+        edges = [("a", True, 1.0), (True, "b", 2.0), ("b", 3, 1.5)]
+        segments = segment_tree(edges)
+        assert_valid_decomposition(edges, segments)
+
+    def test_random_trees_up_to_two_hundred(self):
+        rng = np.random.default_rng(4242)
+        for n in range(2, 201):
+            for _ in range(3):
+                edges = random_tree_edges(n, rng)
+                assert_valid_decomposition(edges, segment_tree(edges))
+
+    @pytest.mark.parametrize("n, budget_s", [(1_000, 1.0), (10_000, 5.0)])
+    def test_large_random_tree_within_budget(self, n, budget_s):
+        edges = random_tree_edges(n, np.random.default_rng(n))
+        t0 = time.perf_counter()
+        segments = segment_tree(edges)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < budget_s, f"segment_tree took {elapsed:.2f}s at N={n}"
+        assert_edge_partition(edges, segments)
+        if n <= 1_000:
+            assert_valid_decomposition(edges, segments)
+
 
 class TestPlanRates:
     def test_identical_segments_share_the_rate(self):
@@ -354,6 +444,15 @@ class TestReconcileNetwork:
                     derive_global_key(plan, announcements, i, key), global_key
                 )
             done += 1
+
+
+    def test_adjacency_tree_matches_all_pairs_oracle(self):
+        rng = np.random.default_rng(303)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            edges = random_tree_edges(n, rng)
+            plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+            assert _segment_adjacency_tree(plan) == all_pairs_adjacency_tree(plan)
 
 
 class TestPlanNetwork:
