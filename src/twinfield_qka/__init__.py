@@ -36,6 +36,7 @@ from .keyrate import (
     eve_mixture,
     holevo,
     holevo_closed,
+    link_rate,
     loss_povm,
     optimize_intensity,
     sift_probability,

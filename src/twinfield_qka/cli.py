@@ -19,8 +19,8 @@ import numpy as np
 from . import selfcheck
 from .discrimination import compose_error, discriminate
 from .errors import UsageError, ValidationError
-from .keyrate import ChannelParams, asymptotic_rate, transmittance_from_distance
-from .network import PartyGraph, derive_global_key, plan_network, reconcile_network
+from .keyrate import link_rate, transmittance_from_distance
+from .network import PartyGraph, plan_network, reconcile_network
 from .simulation import (
     SessionConfig,
     format_session_result,
@@ -128,29 +128,28 @@ def _cmd_discriminate(args) -> int:
     return 0
 
 
-def _link_kms(args):
-    """Party-to-party link lengths (AB, BC) from --distance-km or --arm-km."""
+def _arm_kms(args):
+    """Arm lengths (l_A, l_B, l_B', l_C) from --arm-km, or --distance-km split evenly."""
     if args.arm_km is not None and args.distance_km is not None:
         raise UsageError("give either --distance-km or --arm-km, not both")
     if args.arm_km is not None:
-        l_a, l_b, l_bp, l_c = args.arm_km
         if min(args.arm_km) < 0:
             raise UsageError("--arm-km lengths must be >= 0")
-        return l_a + l_b, l_bp + l_c
+        return tuple(args.arm_km)
     total = args.distance_km if args.distance_km is not None else 0.0
     if total < 0:
         raise UsageError("--distance-km must be >= 0")
-    return total / 2.0, total / 2.0
+    return (total / 4.0,) * 4
 
 
 def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
-    params = ChannelParams.from_link_distances(mu1, mu2, link1_km, link2_km)
-    res = asymptotic_rate(params, delta_ec)
-    if res.sift_bc * res.rate_bc < res.sift_ab * res.rate_ab:
-        eta, sift, chi = params.eta2, res.sift_bc, res.holevo_bc
-    else:
-        eta, sift, chi = params.eta1, res.sift_ab, res.holevo_ab
-    return {"eta": eta, "sift": sift, "chi": chi, "rate": res.r_infinity}
+    """eta, sift and chi of the bottleneck link, and its bits per pulse."""
+    links = []
+    for mu, km in ((mu1, link1_km), (mu2, link2_km)):
+        eta = transmittance_from_distance(km)
+        sift, chi, _, rate = link_rate(mu, eta, delta_ec)
+        links.append({"eta": eta, "sift": sift, "chi": chi, "rate": rate})
+    return min(links, key=lambda row: row["rate"])
 
 
 def _cmd_keyrate(args) -> int:
@@ -161,7 +160,8 @@ def _cmd_keyrate(args) -> int:
         raise ValidationError(f"--mu2 must be > 0, got {mu2}")
     if args.delta_ec < 0:
         raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
-    link1, link2 = _link_kms(args)
+    l_a, l_b, l_bp, l_c = _arm_kms(args)
+    link1, link2 = l_a + l_b, l_bp + l_c
 
     rows = []
     if args.sweep is not None:
@@ -170,41 +170,25 @@ def _cmd_keyrate(args) -> int:
             if sweep.start < 0:
                 raise ValidationError("distance sweep must start at >= 0 km")
             for total in sweep.grid():
-                row = {"L_km": float(total)}
-                row.update(
-                    _keyrate_row(args.mu, mu2, total / 2.0, total / 2.0, args.delta_ec)
-                )
-                rows.append(row)
+                half = total / 2.0
+                rows.append({"L_km": float(total),
+                             **_keyrate_row(args.mu, mu2, half, half, args.delta_ec)})
         else:
             if sweep.start <= 0:
                 raise ValidationError("mu sweep must start at > 0")
             if args.mu2 is not None:
                 raise UsageError("mu sweeps drive both links; drop --mu2")
             for mu in sweep.grid():
-                row = {"mu": float(mu)}
-                row.update(_keyrate_row(mu, mu, link1, link2, args.delta_ec))
-                rows.append(row)
+                rows.append({"mu": float(mu), **_keyrate_row(mu, mu, link1, link2, args.delta_ec)})
     else:
-        row = {
-            "L_km": link1 + link2,
-            "mu": args.mu,
-        }
-        row.update(_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec))
-        rows.append(row)
+        rows.append({"L_km": link1 + link2, "mu": args.mu,
+                     **_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec)})
     _emit(rows, args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    if args.arm_km is not None and args.distance_km is not None:
-        raise UsageError("give either --distance-km or --arm-km, not both")
-    if args.arm_km is not None:
-        arms = tuple(args.arm_km)
-    else:
-        total = args.distance_km if args.distance_km is not None else 0.0
-        if total < 0:
-            raise UsageError("--distance-km must be >= 0")
-        arms = (total / 4.0,) * 4
+    arms = _arm_kms(args)
     config = SessionConfig(
         n_pulses=args.pulses,
         mu_a=args.mu,
@@ -247,6 +231,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _all_converge(keys, global_key, announcements) -> bool:
+    """derive_global_key's verdict for every segment, in one pass over the announcements."""
+    n_bits = len(global_key)
+    path = {0: np.zeros(n_bits, dtype=np.uint8)}  # XOR of the announcements up to segment 0
+    for par, child, bits in announcements:  # every parent is listed before its children
+        path[child] = path[par] ^ bits
+    return all(np.array_equal(key[:n_bits] ^ path[i], global_key) for i, key in enumerate(keys))
+
+
 def _cmd_plan(args) -> int:
     if args.network == "-":
         text = sys.stdin.read()
@@ -268,10 +261,7 @@ def _cmd_plan(args) -> int:
     rng = np.random.default_rng(args.seed)
     keys = [rng.integers(0, 2, args.key_length, dtype=np.uint8) for _ in plan.segments]
     global_key, announcements = reconcile_network(keys, plan)
-    converge = all(
-        np.array_equal(derive_global_key(plan, announcements, i, keys[i]), global_key)
-        for i in range(len(keys))
-    )
+    converge = _all_converge(keys, global_key, announcements)
     doc = {
         "tree_edges": [[a, b, km] for a, b, km in plan.tree_edges],
         "segments": [

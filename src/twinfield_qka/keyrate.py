@@ -21,7 +21,11 @@ suite, which treats the pipeline as the primary oracle):
     p(conclusive)      = 1 - exp(-2 sqrt(eta) mu)
     chi                = h((1 - exp(-4 mu (1-sqrt(eta))) exp(-2 mu sqrt(eta)))/2)
     rate per announce  = max(0, 1 - delta_ec - chi)
-    bits per pulse     = p(conclusive) * rate, bottlenecked over the two links
+    bits per pulse     = p(conclusive) * rate
+
+link_rate is the one place these are written.  A chain of links (a session,
+a segment, a network) runs at the min of its links' bits per pulse; on a
+tie the first link is reported.
 """
 
 from __future__ import annotations
@@ -183,39 +187,43 @@ def holevo(povm: LossPovm, delta: str) -> float:
 
 def devetak_winter_rate(povm: LossPovm, delta: str, delta_ec: float = 0.0) -> float:
     """Secret bits per conclusive announcement, max(0, 1 - delta_ec - chi)."""
-    if delta_ec < 0:
-        raise ValidationError(f"error-correction leakage must be >= 0, got {delta_ec!r}")
+    if not 0.0 <= delta_ec < math.inf:  # also false for NaN
+        raise ValidationError(f"error-correction leakage must be finite and >= 0, got {delta_ec!r}")
     return max(0.0, 1.0 - delta_ec - holevo(povm, delta))
 
 
 # --- closed forms -----------------------------------------------------------
 
 
-def sift_probability(mu: float, eta: float) -> float:
-    """Probability of a conclusive ('+' or '-') announcement per pulse."""
-    if mu < 0:
-        raise ValidationError(f"intensity must be >= 0, got {mu!r}")
+def link_rate(mu: float, eta: float, delta_ec: float = 0.0) -> tuple:
+    """One link's (sift, chi, fraction, bits_per_pulse), from the closed forms above."""
+    if not 0.0 <= mu < math.inf:  # also false for NaN
+        raise ValidationError(f"intensity must be finite and >= 0, got {mu!r}")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
-    return 1.0 - math.exp(-2.0 * math.sqrt(eta) * mu)
+    if not 0.0 <= delta_ec < math.inf:
+        raise ValidationError(f"error-correction leakage must be finite and >= 0, got {delta_ec!r}")
+    se = math.sqrt(eta)
+    sift = 1.0 - math.exp(-2.0 * se * mu)
+    overlap = math.exp(-4.0 * mu * (1.0 - se)) * math.exp(-2.0 * mu * se)
+    chi = binary_entropy((1.0 - overlap) / 2.0)
+    fraction = max(0.0, 1.0 - delta_ec - chi)
+    return sift, chi, fraction, sift * fraction
+
+
+def sift_probability(mu: float, eta: float) -> float:
+    """Probability of a conclusive ('+' or '-') announcement per pulse."""
+    return link_rate(mu, eta)[0]
 
 
 def holevo_closed(mu: float, eta: float) -> float:
     """Closed form of the conclusive-round Holevo information, in bits."""
-    if mu < 0:
-        raise ValidationError(f"intensity must be >= 0, got {mu!r}")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
-    se = math.sqrt(eta)
-    overlap = math.exp(-4.0 * mu * (1.0 - se)) * math.exp(-2.0 * mu * se)
-    return binary_entropy((1.0 - overlap) / 2.0)
+    return link_rate(mu, eta)[1]
 
 
 def dw_rate_closed(mu: float, eta: float, delta_ec: float = 0.0) -> float:
     """Closed-form secret bits per conclusive announcement."""
-    if delta_ec < 0:
-        raise ValidationError(f"error-correction leakage must be >= 0, got {delta_ec!r}")
-    return max(0.0, 1.0 - delta_ec - holevo_closed(mu, eta))
+    return link_rate(mu, eta, delta_ec)[2]
 
 
 def transmittance_from_distance(distance_km: float) -> float:
@@ -270,15 +278,11 @@ class KeyRateResult:
 def asymptotic_rate(params: ChannelParams, delta_ec: float = 0.0) -> KeyRateResult:
     """Asymptotic secret bits per pulse for a three-party session.
 
-    Each link contributes sift * max(0, 1 - delta_ec - chi); the shared
-    group key is capped by the weaker link, hence the min.
+    Each link contributes link_rate's bits per pulse; the shared group key
+    is capped by the weaker link, hence the min.
     """
-    sift_ab = sift_probability(params.mu1, params.eta1)
-    sift_bc = sift_probability(params.mu2, params.eta2)
-    chi_ab = holevo_closed(params.mu1, params.eta1)
-    chi_bc = holevo_closed(params.mu2, params.eta2)
-    rate_ab = max(0.0, 1.0 - delta_ec - chi_ab)
-    rate_bc = max(0.0, 1.0 - delta_ec - chi_bc)
+    sift_ab, chi_ab, rate_ab, bits_ab = link_rate(params.mu1, params.eta1, delta_ec)
+    sift_bc, chi_bc, rate_bc, bits_bc = link_rate(params.mu2, params.eta2, delta_ec)
     return KeyRateResult(
         rate_ab=rate_ab,
         rate_bc=rate_bc,
@@ -286,16 +290,14 @@ def asymptotic_rate(params: ChannelParams, delta_ec: float = 0.0) -> KeyRateResu
         sift_bc=sift_bc,
         holevo_ab=chi_ab,
         holevo_bc=chi_bc,
-        r_infinity=min(sift_ab * rate_ab, sift_bc * rate_bc),
+        r_infinity=min(bits_ab, bits_bc),
         delta_ec=delta_ec,
     )
 
 
 def symmetric_rate(mu: float, eta: float, delta_ec: float = 0.0) -> float:
     """Bits per pulse when both links share the same mu and eta."""
-    return asymptotic_rate(
-        ChannelParams(mu1=mu, mu2=mu, eta1=eta, eta2=eta), delta_ec
-    ).r_infinity
+    return link_rate(mu, eta, delta_ec)[3]
 
 
 def optimize_intensity(eta: float, mu_grid) -> tuple:

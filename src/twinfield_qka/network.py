@@ -28,14 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import PlanningError, UsageError, ValidationError
-from .keyrate import (
-    ChannelParams,
-    asymptotic_rate,
-    dw_rate_closed,
-    optimize_intensity,
-    sift_probability,
-    transmittance_from_distance,
-)
+from .keyrate import link_rate, optimize_intensity, transmittance_from_distance
 
 
 def _id_key(party):
@@ -43,6 +36,13 @@ def _id_key(party):
     if isinstance(party, (int, float)) and not isinstance(party, bool):
         return (0, float(party), "")
     return (1, 0.0, str(party))
+
+
+def _scalar_id(pid):
+    """Return pid, rejecting a list or an object: party ids are JSON scalars."""
+    if isinstance(pid, (list, dict)):
+        raise ValidationError(f"party id must be a string or a number, got {pid!r}")
+    return pid
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,15 @@ class PartyGraph:
         coords = {}
         for p in parties:
             if isinstance(p, (tuple, list)):
+                if len(p) != 3:
+                    raise ValidationError(f"party must be an id or an (id, x, y) triple, got {p!r}")
                 pid, x, y = p
+                _scalar_id(pid)
+                for v in (x, y):
+                    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                        raise ValidationError(
+                            f"party {pid!r} coordinates must be finite numbers, got ({x!r}, {y!r})"
+                        )
                 coords[pid] = (float(x), float(y))
             else:
                 pid = p
@@ -145,10 +153,11 @@ class PartyGraph:
             if isinstance(entry, dict):
                 if "id" not in entry:
                     raise ValidationError(f"party entry missing id: {entry!r}")
+                pid = _scalar_id(entry["id"])
                 if "x" in entry and "y" in entry:
-                    parties.append((entry["id"], entry["x"], entry["y"]))
+                    parties.append((pid, entry["x"], entry["y"]))
                 else:
-                    parties.append(entry["id"])
+                    parties.append(pid)
             else:
                 parties.append(entry)
         edges = None
@@ -287,17 +296,13 @@ def _link_mu(eta: float, mu_policy) -> float:
 
 
 def segment_rate(segment: Segment, mu_policy, delta_ec: float = 0.0) -> float:
-    """Bits per pulse for one segment under the loss-only analysis.
+    """Bits per pulse for one segment under the loss-only analysis: its slowest link.
 
     mu_policy is either a fixed intensity used on every link or a grid of
     candidate intensities optimized per link.
     """
     etas = [transmittance_from_distance(d) for d in segment.arm_distances]
-    mus = [_link_mu(eta, mu_policy) for eta in etas]
-    if segment.is_pair:
-        return sift_probability(mus[0], etas[0]) * dw_rate_closed(mus[0], etas[0], delta_ec)
-    params = ChannelParams(mu1=mus[0], mu2=mus[1], eta1=etas[0], eta2=etas[1])
-    return asymptotic_rate(params, delta_ec).r_infinity
+    return min(link_rate(_link_mu(eta, mu_policy), eta, delta_ec)[3] for eta in etas)
 
 
 def plan_rates(segments, mu_policy=0.2, delta_ec: float = 0.0, tree_edges=()) -> NetworkPlan:

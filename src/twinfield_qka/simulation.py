@@ -73,23 +73,22 @@ class SessionConfig:
         object.__setattr__(self, "arm_lengths", tuple(self.arm_lengths))
         if self.n_pulses < 1:
             raise ValidationError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
-        for name in ("mu_a", "mu_b", "mu_c"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        for name in ("mu_a", "mu_b", "mu_c", "ec_efficiency"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also false for NaN
+                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
         if len(self.arm_lengths) != 4:
             raise ValidationError("arm_lengths must hold four lengths (l_A, l_B, l_B', l_C)")
-        if any(l < 0 for l in self.arm_lengths):
-            raise ValidationError("arm lengths must be >= 0")
+        if not all(0.0 <= l < math.inf for l in self.arm_lengths):
+            raise ValidationError("arm lengths must be finite and >= 0")
         for name in ("y0", "dark_count_prob"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1), got {p!r}")
-        if self.repetition_rate <= 0:
-            raise ValidationError("repetition_rate must be > 0")
+        if not 0.0 < self.repetition_rate < math.inf:
+            raise ValidationError("repetition_rate must be finite and > 0")
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
-        if self.ec_efficiency < 0:
-            raise ValidationError("ec_efficiency must be >= 0")
 
     @classmethod
     def equal_arms(cls, n_pulses: int, mu: float, total_km: float, **kwargs) -> "SessionConfig":
@@ -177,14 +176,20 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _announce_block(equal_mask, p_signal, p_bg, u_plus, u_minus) -> np.ndarray:
-    """Vectorized node outcome codes (+1/-1/0) for one block of pulses."""
+def _sift_block(k_end, kb, p_signal, p_bg, u_plus, u_minus):
+    """One node over one block of pulses: announce, drop '?' rounds, apply the flip rule.
+
+    k_end holds the phase bits of Alice (node AB) or Charlie (node BC), who
+    flip on '-'; kb holds Bob's, who keeps.  Returns both sifted keys.
+    """
+    equal_mask = k_end == kb
     click_plus = np.where(equal_mask, u_plus < p_signal, u_plus < p_bg)
     click_minus = np.where(equal_mask, u_minus < p_bg, u_minus < p_signal)
     ann = np.zeros(len(u_plus), dtype=np.int8)
     ann[click_plus & ~click_minus] = 1
     ann[click_minus & ~click_plus] = -1
-    return ann
+    conc = ann != 0
+    return k_end[conc] ^ (ann[conc] < 0), kb[conc]
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -201,23 +206,20 @@ def run_session(config: SessionConfig) -> SessionResult:
     the group key.
     """
     t_a, t_b, t_bp, t_c = (transmittance_from_distance(l) for l in config.arm_lengths)
-    m_ab = min(config.mu_a * t_a, config.mu_b * t_b)
-    m_bc = min(config.mu_b * t_bp, config.mu_c * t_c)
-    eta_ab = t_a * t_b
-    eta_bc = t_bp * t_c
-
     p_bg = background_click_probability(config.y0, config.dark_count_prob)
-    p_sig_ab = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m_ab)
-    p_sig_bc = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m_bc)
+    # Per node, AB then BC: common arrival intensity and link transmittance.
+    nodes = (
+        (min(config.mu_a * t_a, config.mu_b * t_b), t_a * t_b),
+        (min(config.mu_b * t_bp, config.mu_c * t_c), t_bp * t_c),
+    )
+    p_sig = [1.0 - (1.0 - p_bg) * math.exp(-2.0 * m) for m, _ in nodes]
 
-    a_parts, b_ab_parts = [], []
-    b_bc_parts, c_parts = [], []
-    mismatch_ab = 0
-    mismatch_bc = 0
+    end_parts = ([], [])  # Alice's sifted bits at AB, Charlie's at BC
+    bob_parts = ([], [])
+    mismatches = [0, 0]
 
     n = config.n_pulses
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for bi in range(n_blocks):
+    for bi in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
         cnt = min(n - bi * BLOCK_SIZE, BLOCK_SIZE)
         rng = _block_rng(config.seed, bi)
         ka = rng.integers(0, 2, cnt, dtype=np.uint8)
@@ -225,55 +227,30 @@ def run_session(config: SessionConfig) -> SessionResult:
         kc = rng.integers(0, 2, cnt, dtype=np.uint8)
         u = rng.random((4, cnt))
 
-        ann_ab = _announce_block(ka == kb, p_sig_ab, p_bg, u[0], u[1])
-        ann_bc = _announce_block(kb == kc, p_sig_bc, p_bg, u[2], u[3])
+        for i, k_end in enumerate((ka, kc)):
+            end_bits, b_bits = _sift_block(k_end, kb, p_sig[i], p_bg, u[2 * i], u[2 * i + 1])
+            mismatches[i] += int(np.count_nonzero(end_bits != b_bits))
+            end_parts[i].append(end_bits)
+            bob_parts[i].append(b_bits)
 
-        conc = ann_ab != 0
-        a_bits = ka[conc] ^ (ann_ab[conc] < 0)  # Alice flips on '-'
-        b_bits = kb[conc]
-        mismatch_ab += int(np.count_nonzero(a_bits != b_bits))
-        a_parts.append(a_bits.astype(np.uint8))
-        b_ab_parts.append(b_bits)
+    ends = [np.concatenate(parts) for parts in end_parts]
+    bobs = [np.concatenate(parts) for parts in bob_parts]
 
-        conc = ann_bc != 0
-        c_bits = kc[conc] ^ (ann_bc[conc] < 0)  # Charlie flips on '-'
-        b_bits = kb[conc]
-        mismatch_bc += int(np.count_nonzero(c_bits != b_bits))
-        c_parts.append(c_bits.astype(np.uint8))
-        b_bc_parts.append(b_bits)
-
-    alice = np.concatenate(a_parts) if a_parts else np.zeros(0, dtype=np.uint8)
-    bob_ab = np.concatenate(b_ab_parts) if b_ab_parts else np.zeros(0, dtype=np.uint8)
-    bob_bc = np.concatenate(b_bc_parts) if b_bc_parts else np.zeros(0, dtype=np.uint8)
-    charlie = np.concatenate(c_parts) if c_parts else np.zeros(0, dtype=np.uint8)
-
-    count_ab = len(alice)
-    count_bc = len(charlie)
-    qber_ab = mismatch_ab / count_ab if count_ab else 0.0
-    qber_bc = mismatch_bc / count_bc if count_bc else 0.0
-    sift_frac_ab = count_ab / n
-    sift_frac_bc = count_bc / n
-
-    chi_ab = holevo_closed(m_ab / math.sqrt(eta_ab), eta_ab) if m_ab > 0 else 0.0
-    chi_bc = holevo_closed(m_bc / math.sqrt(eta_bc), eta_bc) if m_bc > 0 else 0.0
-    skr_ab = sift_frac_ab * max(
-        0.0, 1.0 - chi_ab - config.ec_efficiency * binary_entropy(qber_ab)
-    )
-    skr_bc = sift_frac_bc * max(
-        0.0, 1.0 - chi_bc - config.ec_efficiency * binary_entropy(qber_bc)
-    )
-
-    if skr_bc < skr_ab:
-        sifted_rate, chi, skr = sift_frac_bc, chi_bc, skr_bc
-    else:
-        sifted_rate, chi, skr = sift_frac_ab, chi_ab, skr_ab
+    qbers = [errors / len(end) if len(end) else 0.0 for end, errors in zip(ends, mismatches)]
+    links = []
+    for (m, eta), end, qber in zip(nodes, ends, qbers):
+        sift = len(end) / n
+        chi = holevo_closed(m / math.sqrt(eta), eta) if m > 0 else 0.0
+        skr = sift * max(0.0, 1.0 - chi - config.ec_efficiency * binary_entropy(qber))
+        links.append((skr, sift, chi))
+    skr, sifted_rate, chi = min(links, key=lambda link: link[0])
 
     return SessionResult(
-        sifted_ab=(alice, bob_ab),
-        sifted_bc=(bob_bc, charlie),
-        conclusive_counts={"AB": count_ab, "BC": count_bc},
-        qber_ab=qber_ab,
-        qber_bc=qber_bc,
+        sifted_ab=(ends[0], bobs[0]),
+        sifted_bc=(bobs[1], ends[1]),
+        conclusive_counts={"AB": len(ends[0]), "BC": len(ends[1])},
+        qber_ab=qbers[0],
+        qber_bc=qbers[1],
         sifted_rate=sifted_rate,
         chi=chi,
         skr_per_pulse=skr,

@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from twinfield_qka import simulation
-from twinfield_qka.cli import dispatch, emit_csv, parse_sweep
+from twinfield_qka.cli import _all_converge, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
-from twinfield_qka.network import Segment
-from test_network import assert_valid_decomposition
+from twinfield_qka.keyrate import link_rate, transmittance_from_distance
+from twinfield_qka.network import (
+    Segment,
+    derive_global_key,
+    plan_rates,
+    reconcile_network,
+    segment_tree,
+)
+from test_network import assert_valid_decomposition, random_tree_edges
 
 FIG_SEVEN_JSON = json.dumps(
     {
@@ -73,6 +80,31 @@ class TestKeyrateCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("argv, link", [
+        (["--arm-km", "10", "5", "40", "30"], (0.2, 70.0)),
+        (["--mu2", "0.05", "--distance-km", "60"], (0.05, 30.0)),
+    ])
+    def test_reports_the_strictly_worse_second_link(self, argv, link, capsys):
+        assert dispatch(["keyrate", "--mu", "0.2", *argv]) == 0
+        (row,) = read_csv(capsys.readouterr().out)
+        eta = transmittance_from_distance(link[1])
+        sift, chi, _, rate = link_rate(link[0], eta, 0.0)
+        assert [float(row[k]) for k in ("eta", "sift", "chi", "rate")] == [eta, sift, chi, rate]
+
+    def test_tied_links_report_the_first(self, capsys):
+        # Full leakage zeroes both links' rates, so the tie is exact.
+        assert dispatch(["keyrate", "--delta-ec", "1", "--arm-km", "10", "5", "40", "30"]) == 0
+        (row,) = read_csv(capsys.readouterr().out)
+        eta = transmittance_from_distance(15.0)
+        sift, chi, _, rate = link_rate(0.2, eta, 1.0)
+        assert rate == 0.0
+        assert [float(row[k]) for k in ("eta", "sift", "chi", "rate")] == [eta, sift, chi, rate]
+
+    def test_underflowed_transmittance_is_a_clean_error(self, capsys):
+        assert dispatch(["keyrate", "--distance-km", "1e6"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: transmittance must lie in (0, 1], got 0.0\n"
+
     def test_output_file_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -128,6 +160,13 @@ class TestSimulateCommand:
     def test_bad_pulse_count(self, capsys):
         assert dispatch(["simulate", "--pulses", "0"]) == 1
         capsys.readouterr()
+
+    def test_negative_arm_is_a_usage_error_like_keyrate(self, capsys):
+        argv = ["--arm-km", "-1", "1", "1", "1"]
+        assert dispatch(["simulate", *argv]) == 2
+        err = capsys.readouterr().err
+        assert dispatch(["keyrate", *argv]) == 2
+        assert capsys.readouterr().err == err == "usage error: --arm-km lengths must be >= 0\n"
 
     def test_keys_digested_once_and_table_unchanged(self, capsys, monkeypatch):
         calls = []
@@ -222,6 +261,58 @@ class TestPlanCommand:
     def test_malformed_document_is_a_clean_error(self, net, capsys, monkeypatch):
         self.assert_clean_error(net, capsys, monkeypatch)
 
+    @pytest.mark.parametrize("party", [
+        {"id": [1]},
+        {"id": [1, 2, 3]},
+        {"id": {"a": 1}},
+        {"id": 1, "x": True, "y": 0},
+        {"id": 1, "x": 0, "y": "nan"},
+        {"id": 1, "x": "0", "y": 0},
+        {"id": 1, "x": float("nan"), "y": 0},
+        {"id": 1, "x": 0, "y": float("-inf")},
+        [[1], 0, 0],
+        [1, 0],
+    ])
+    def test_malformed_party_is_a_clean_error(self, party, capsys, monkeypatch):
+        net = {"parties": [party, {"id": 2, "x": 3, "y": 4}, {"id": 3, "x": 6, "y": 8}]}
+        self.assert_clean_error(net, capsys, monkeypatch)
+
+    def test_ten_thousand_party_path_converges_quickly(self, capsys, monkeypatch):
+        # A convergence check that walks each segment to the root is quadratic here.
+        n = 10_001
+        net = {
+            "parties": [{"id": i} for i in range(n)],
+            "edges": [{"a": i, "b": i + 1, "km": 10.0} for i in range(n - 1)],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
+        t0 = time.perf_counter()
+        assert dispatch(["plan", "-"]) == 0
+        elapsed = time.perf_counter() - t0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["segments"]) == 5000
+        assert doc["reconciliation"]["all_parties_converge"] is True
+        assert elapsed < 8.0, f"plan took {elapsed:.2f}s on a {n}-party path"
+
+    def test_convergence_check_agrees_with_derive_global_key(self):
+        rng = np.random.default_rng(404)
+        verdicts = set()
+        for _ in range(150):
+            edges = random_tree_edges(int(rng.integers(2, 40)), rng)
+            plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+            keys = [rng.integers(0, 2, 24, dtype=np.uint8) for _ in plan.segments]
+            global_key, announcements = reconcile_network(keys, plan)
+            if rng.random() < 0.5:  # a party holding a corrupted key must not converge
+                i = int(rng.integers(len(keys)))
+                keys[i] = keys[i].copy()
+                keys[i][int(rng.integers(24))] ^= 1
+            oracle = all(
+                np.array_equal(derive_global_key(plan, announcements, i, key), global_key)
+                for i, key in enumerate(keys)
+            )
+            assert _all_converge(keys, global_key, announcements) == oracle
+            verdicts.add(oracle)
+        assert verdicts == {True, False}
+
     @staticmethod
     def assert_clean_error(net, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
@@ -231,6 +322,32 @@ class TestPlanCommand:
         lines = captured.err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["keyrate", "--mu", "nan"],
+        ["keyrate", "--mu", "inf", "--distance-km", "10"],
+        ["keyrate", "--mu2", "inf", "--distance-km", "10"],
+        ["keyrate", "--delta-ec", "nan"],
+        ["keyrate", "--delta-ec", "inf"],
+        ["simulate", "--mu", "nan"],
+        ["simulate", "--mu", "inf"],
+        ["simulate", "--ec-efficiency", "nan"],
+        ["simulate", "--distance-km", "nan"],
+        ["plan", "NET", "--mu", "nan"],
+        ["plan", "NET", "--delta-ec", "nan"],
+    ])
+    def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(FIG_SEVEN_JSON)
+        out = tmp_path / "out"
+        argv = [str(net) if a == "NET" else a for a in argv]
+        assert dispatch([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSelftestCommand:

@@ -17,6 +17,7 @@ from twinfield_qka.keyrate import (
     eve_mixture,
     holevo,
     holevo_closed,
+    link_rate,
     loss_povm,
     optimize_intensity,
     sift_probability,
@@ -215,6 +216,35 @@ class TestAsymptoticRate:
         rates = [symmetric_rate(0.01, eta) for eta in etas]
         slope = np.polyfit(np.log10(etas), np.log10(rates), 1)[0]
         assert slope == pytest.approx(0.5, abs=0.05)
+
+
+class TestLinkRate:
+    def test_parts_match_the_closed_forms(self):
+        for mu in MU_GRID[::4]:
+            for eta in ETA_GRID[::4]:
+                sift, chi, fraction, bits = link_rate(mu, eta, 0.05)
+                assert sift == sift_probability(mu, eta)
+                assert chi == holevo_closed(mu, eta)
+                assert fraction == dw_rate_closed(mu, eta, 0.05)
+                assert bits == sift * fraction
+
+    def test_two_link_rate_is_the_slower_link(self):
+        res = asymptotic_rate(ChannelParams(0.2, 0.3, 0.5, 1e-3), 0.02)
+        assert res.r_infinity == min(link_rate(0.2, 0.5, 0.02)[3], link_rate(0.3, 1e-3, 0.02)[3])
+        assert symmetric_rate(0.3, 1e-3, 0.02) == link_rate(0.3, 1e-3, 0.02)[3]
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.1])
+    def test_bad_intensity_rejected(self, mu):
+        for fn in (sift_probability, holevo_closed, link_rate):
+            with pytest.raises(ValidationError):
+                fn(mu, 0.5)
+
+    @pytest.mark.parametrize("delta_ec", [float("nan"), float("inf"), -0.1])
+    def test_bad_leakage_rejected(self, delta_ec):
+        with pytest.raises(ValidationError):
+            link_rate(0.2, 0.5, delta_ec)
+        with pytest.raises(ValidationError):
+            devetak_winter_rate(loss_povm(0.2, 0.5), "+", delta_ec)
 
 
 class TestTransmittance:

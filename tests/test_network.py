@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from twinfield_qka.errors import PlanningError, UsageError, ValidationError
+from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
     PartyGraph,
+    Segment,
     _segment_adjacency_tree,
     derive_global_key,
     minimum_network,
     plan_network,
     plan_rates,
     reconcile_network,
+    segment_rate,
     segment_tree,
 )
 
@@ -383,6 +386,20 @@ class TestPlanRates:
     def test_empty_segments_rejected(self):
         with pytest.raises(UsageError):
             plan_rates([], mu_policy=0.2)
+
+    def test_segment_rate_is_its_slowest_link_rate(self):
+        pair = Segment(members=(1, 2), center=1, arm_distances=(37.5,))
+        eta = transmittance_from_distance(37.5)
+        assert segment_rate(pair, 0.3, 0.04) == link_rate(0.3, eta, 0.04)[3]
+        triple = Segment(members=(1, 2, 3), center=2, arm_distances=(12.0, 61.0))
+        assert segment_rate(triple, 0.3, 0.04) == min(
+            link_rate(0.3, transmittance_from_distance(km), 0.04)[3] for km in (12.0, 61.0)
+        )
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_intensity_rejected(self, mu):
+        with pytest.raises(ValidationError):
+            plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), mu_policy=mu)
 
 
 class TestReconcileNetwork:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from twinfield_qka.errors import UsageError, ValidationError
-from twinfield_qka.keyrate import sift_probability, symmetric_rate
+from twinfield_qka.keyrate import (
+    holevo_closed,
+    sift_probability,
+    symmetric_rate,
+    transmittance_from_distance,
+)
 from twinfield_qka.simulation import (
     SessionConfig,
     calibrate_source_intensity,
@@ -161,6 +166,27 @@ class TestRunSession:
         n = cfg.n_pulses
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(res.conclusive_counts["AB"] / n - p) < 5 * sigma
+
+    @pytest.mark.parametrize("arms, weak", [((0.0, 0.0, 40.0, 40.0), "BC"),
+                                            ((40.0, 40.0, 0.0, 0.0), "AB")])
+    def test_weaker_node_sets_the_rate(self, arms, weak):
+        cfg = SessionConfig(n_pulses=50_000, arm_lengths=arms, seed=4)
+        res = run_session(cfg)
+        t = transmittance_from_distance(40.0)
+        m, eta = 0.2 * t, t * t
+        assert res.chi == holevo_closed(m / math.sqrt(eta), eta)
+        assert res.sifted_rate == res.conclusive_counts[weak] / cfg.n_pulses
+        assert res.conclusive_counts[weak] == min(res.conclusive_counts.values())
+
+    @pytest.mark.parametrize("field", ["mu_a", "mu_b", "mu_c", "ec_efficiency",
+                                       "repetition_rate", "y0", "dark_count_prob",
+                                       "arm_lengths"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        if field == "arm_lengths":
+            value = (1.0, value, 1.0, 1.0)
+        with pytest.raises(ValidationError):
+            SessionConfig(n_pulses=10, **{field: value})
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
