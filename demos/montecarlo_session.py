@@ -1,4 +1,4 @@
-"""One simulated session, pulse by pulse, compared against the analytic rate.
+"""One simulated session, drawn event by event, compared against the analytic rate.
 
 Three parties fire 2 million pulses at two measurement nodes over 100 km of
 total fiber with realistic detector backgrounds.  The script prints the

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,8 @@ def parse_sweep(text: str) -> SweepSpec:
         start_f, stop_f, steps_i = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise UsageError(f"bad --sweep numbers in {text!r}: {exc}") from exc
+    if not (math.isfinite(start_f) and math.isfinite(stop_f)):
+        raise UsageError(f"sweep start and stop must be finite, got {start!r} and {stop!r}")
     if not start_f < stop_f:
         raise UsageError(f"sweep start must be < stop, got {start_f} >= {stop_f}")
     if steps_i < 2:

@@ -228,8 +228,8 @@ def dw_rate_closed(mu: float, eta: float, delta_ec: float = 0.0) -> float:
 
 def transmittance_from_distance(distance_km: float) -> float:
     """End-to-end transmittance of distance_km of standard fiber at 0.2 dB/km."""
-    if distance_km < 0:
-        raise ValidationError(f"distance must be >= 0, got {distance_km!r}")
+    if not 0.0 <= distance_km < math.inf:  # also false for NaN
+        raise ValidationError(f"distance must be finite and >= 0, got {distance_km!r}")
     return 10.0 ** (-FIBER_DB_PER_KM * distance_km / 10.0)
 
 
@@ -244,8 +244,8 @@ class ChannelParams:
 
     def __post_init__(self):
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if mu < 0:
-                raise ValidationError(f"{name} must be >= 0, got {mu!r}")
+            if not 0.0 <= mu < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {mu!r}")
         for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
             if not 0.0 < eta <= 1.0:
                 raise ValidationError(f"{name} must lie in (0, 1], got {eta!r}")

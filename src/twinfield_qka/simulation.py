@@ -1,11 +1,11 @@
-"""Monte Carlo pulse-level simulation of the three-party protocol.
+"""Monte Carlo simulation of the three-party protocol, drawn event by event.
 
-Per pulse, the three parties draw independent phase bits and launch weak
-coherent pulses toward the two measurement nodes.  Each node interferes
-its two (calibrated, equal-intensity) inputs on a balanced beam splitter:
-with ideal visibility the constructive port carries mean photon number
-2*m and the destructive port is dark, where m is the per-arm arrival
-intensity.  Threshold detectors click with probability
+The three parties draw independent phase bits and launch weak coherent
+pulses toward the two measurement nodes.  Each node interferes its two
+(calibrated, equal-intensity) inputs on a balanced beam splitter: with
+ideal visibility the constructive port carries mean photon number 2*m and
+the destructive port is dark, where m is the per-arm arrival intensity.
+Threshold detectors click with probability
 
     p_click = 1 - (1 - p_bg) * exp(-m_port)
 
@@ -14,9 +14,13 @@ a single per-gate probability (keeps p <= 1 for any input; at realistic
 magnitudes it is indistinguishable from the additive form Y0 + 1 - e^-m).
 Exactly one click maps to '+' or '-', zero or two clicks to '?'.
 
-Randomness is drawn from per-block Philox streams keyed by
-(seed, block_index) with a fixed block size, so a session is bit-for-bit
-reproducible no matter how the pulse loop is chunked or parallelized.
+Whatever the phase bits, a node is conclusive with probability
+p_conc = p_sig (1 - p_bg) + p_bg (1 - p_sig), and a conclusive round is an
+error with probability p_bg (1 - p_sig) / p_conc, independent of Bob's bit.
+So a session draws only the conclusive rounds (geometric gaps), with Bob's
+bit and an error flag each: the law of drawing every pulse through
+`interfere_and_detect`.  Per-block Philox streams keyed by (seed, block_index)
+make a session bit-for-bit reproducible however the pulse loop is chunked.
 """
 
 from __future__ import annotations
@@ -96,14 +100,8 @@ class SessionConfig:
         if total_km < 0:
             raise ValidationError(f"total_km must be >= 0, got {total_km!r}")
         arm = total_km / 4.0
-        return cls(
-            n_pulses=n_pulses,
-            mu_a=mu,
-            mu_b=mu,
-            mu_c=mu,
-            arm_lengths=(arm, arm, arm, arm),
-            **kwargs,
-        )
+        return cls(n_pulses=n_pulses, mu_a=mu, mu_b=mu, mu_c=mu,
+                   arm_lengths=(arm, arm, arm, arm), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,9 @@ class SessionResult:
 def calibrate_source_intensity(target_mu_at_node: float, arm_transmittance: float) -> float:
     """Source intensity needed so the pulse arrives at the node with target_mu."""
     if not 0.0 < arm_transmittance <= 1.0:
-        raise ValidationError(
-            f"arm transmittance must lie in (0, 1], got {arm_transmittance!r}"
-        )
-    if target_mu_at_node < 0:
-        raise ValidationError("target intensity must be >= 0")
+        raise ValidationError(f"arm transmittance must lie in (0, 1], got {arm_transmittance!r}")
+    if not 0.0 <= target_mu_at_node < math.inf:
+        raise ValidationError(f"target intensity must be finite and >= 0, got {target_mu_at_node!r}")
     return target_mu_at_node / arm_transmittance
 
 
@@ -146,8 +142,8 @@ def interfere_and_detect(phase_left, phase_right, mu_at_node: float,
     arriving pulses, mu_at_node their common arrival intensity, and draws a
     pair of uniform [0,1) variates, one per detector.
     """
-    if mu_at_node < 0:
-        raise ValidationError("arrival intensity must be >= 0")
+    if not 0.0 <= mu_at_node < math.inf:
+        raise ValidationError(f"arrival intensity must be finite and >= 0, got {mu_at_node!r}")
     equal = _phase_bit(phase_left) == _phase_bit(phase_right)
     p_bg = background_click_probability(y0, dark_count_prob)
     p_signal = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * mu_at_node)
@@ -176,20 +172,27 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _sift_block(k_end, kb, p_signal, p_bg, u_plus, u_minus):
-    """One node over one block of pulses: announce, drop '?' rounds, apply the flip rule.
+def _block_events(rng, cnt: int, laws):
+    """Per node law (P(conclusive), P(error | conclusive)): positions, Bob's bits, errors.
 
-    k_end holds the phase bits of Alice (node AB) or Charlie (node BC), who
-    flip on '-'; kb holds Bob's, who keeps.  Returns both sifted keys.
+    Positions are cumulative geometric gaps, drawn until one passes the block
+    (gaps capped at cnt + 1 so sums cannot overflow); Bob's bits are one
+    packed draw per block, shared by both nodes.
     """
-    equal_mask = k_end == kb
-    click_plus = np.where(equal_mask, u_plus < p_signal, u_plus < p_bg)
-    click_minus = np.where(equal_mask, u_minus < p_bg, u_minus < p_signal)
-    ann = np.zeros(len(u_plus), dtype=np.int8)
-    ann[click_plus & ~click_minus] = 1
-    ann[click_minus & ~click_plus] = -1
-    conc = ann != 0
-    return k_end[conc] ^ (ann[conc] < 0), kb[conc]
+    kb = np.frombuffer(rng.bytes((cnt + 7) >> 3), dtype=np.uint8)
+    events = []
+    for p, q in laws:
+        batches, last = [np.empty(0, dtype=np.int64)], -1
+        while p > 0 and last < cnt:
+            mean = (cnt - last) * p
+            gaps = rng.geometric(p, int(mean + 5.0 * math.sqrt(mean) + 16))
+            batches.append(last + np.cumsum(np.minimum(gaps, cnt + 1)))
+            last = int(batches[-1][-1])
+        pos = np.concatenate(batches)
+        pos = pos[: np.searchsorted(pos, cnt)]
+        bob = (kb[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
+        events.append((pos, bob, rng.random(len(pos)) < q))
+    return events
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -199,6 +202,10 @@ def run_session(config: SessionConfig) -> SessionResult:
     the stronger arm attenuates down to its partner's arrival intensity
     (variable attenuators only remove light), so for link AB the common
     arrival is min(mu_a * t(l_A), mu_b * t(l_B)).
+
+    Only conclusive rounds are drawn, block by block: Bob's sifted bit is
+    his phase bit, the flipper's (Alice at AB, Charlie at BC) that bit XOR
+    the round's error flag.
 
     The secret fraction applies the loss-only Holevo deduction evaluated
     at the session's effective per-link working point, plus an optional
@@ -212,31 +219,24 @@ def run_session(config: SessionConfig) -> SessionResult:
         (min(config.mu_a * t_a, config.mu_b * t_b), t_a * t_b),
         (min(config.mu_b * t_bp, config.mu_c * t_c), t_bp * t_c),
     )
-    p_sig = [1.0 - (1.0 - p_bg) * math.exp(-2.0 * m) for m, _ in nodes]
+    laws = []
+    for m, _ in nodes:
+        p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
+        p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
+        laws.append((p_conc, p_bg * (1.0 - p_sig) / p_conc if p_conc > 0 else 0.0))
 
-    end_parts = ([], [])  # Alice's sifted bits at AB, Charlie's at BC
-    bob_parts = ([], [])
-    mismatches = [0, 0]
-
+    bobs, errs = ([], []), ([], [])
     n = config.n_pulses
     for bi in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
         cnt = min(n - bi * BLOCK_SIZE, BLOCK_SIZE)
-        rng = _block_rng(config.seed, bi)
-        ka = rng.integers(0, 2, cnt, dtype=np.uint8)
-        kb = rng.integers(0, 2, cnt, dtype=np.uint8)
-        kc = rng.integers(0, 2, cnt, dtype=np.uint8)
-        u = rng.random((4, cnt))
+        for i, (_, bob, err) in enumerate(_block_events(_block_rng(config.seed, bi), cnt, laws)):
+            bobs[i].append(bob)
+            errs[i].append(err)
+    bobs = [np.concatenate(parts) for parts in bobs]
+    errs = [np.concatenate(parts) for parts in errs]
+    ends = [bob ^ err for bob, err in zip(bobs, errs)]  # Alice's bits at AB, Charlie's at BC
 
-        for i, k_end in enumerate((ka, kc)):
-            end_bits, b_bits = _sift_block(k_end, kb, p_sig[i], p_bg, u[2 * i], u[2 * i + 1])
-            mismatches[i] += int(np.count_nonzero(end_bits != b_bits))
-            end_parts[i].append(end_bits)
-            bob_parts[i].append(b_bits)
-
-    ends = [np.concatenate(parts) for parts in end_parts]
-    bobs = [np.concatenate(parts) for parts in bob_parts]
-
-    qbers = [errors / len(end) if len(end) else 0.0 for end, errors in zip(ends, mismatches)]
+    qbers = [np.count_nonzero(err) / len(err) if len(err) else 0.0 for err in errs]
     links = []
     for (m, eta), end, qber in zip(nodes, ends, qbers):
         sift = len(end) / n

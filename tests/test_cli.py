@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ class TestKeyrateCommand:
         err = capsys.readouterr().err
         assert err == "error: transmittance must lie in (0, 1], got 0.0\n"
 
+    def test_nan_distance_names_the_distance(self, capsys):
+        assert dispatch(["keyrate", "--distance-km", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: distance must be finite and >= 0, got nan\n"
+
     def test_output_file_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -182,12 +189,12 @@ class TestSimulateCommand:
         assert dispatch(args) == 0
         assert len(calls) == 4
         assert capsys.readouterr().err == (
-            "conclusive AB / BC        4369 / 4394\n"
-            "qber AB / BC              0.000457771 / 0.000682749\n"
-            "sifted rate (bottleneck)  0.021845\n"
+            "conclusive AB / BC        4568 / 4360\n"
+            "qber AB / BC              0.000437828 / 0\n"
+            "sifted rate (bottleneck)  0.0218\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00345616\n"
-            "secret key rate bps       3.45616e+06\n"
+            "secret key rate /pulse    0.00344905\n"
+            "secret key rate bps       3.44905e+06\n"
         )
 
 
@@ -389,6 +396,18 @@ class TestSweepParsing:
     def test_wrong_arity(self):
         with pytest.raises(UsageError):
             parse_sweep("mu:0.1:1.0")
+
+    @pytest.mark.parametrize("text", ["mu:0.1:inf:3", "distance_km:-inf:10:3",
+                                      "mu:nan:1.0:3", "distance_km:0:nan:3"])
+    def test_non_finite_end_point_is_a_usage_error(self, text, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(["keyrate", "--sweep", text]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: sweep start and stop must be finite")
+        assert captured.err.count("\n") == 1
 
 
 class TestEmitCsv:

@@ -257,6 +257,11 @@ class TestTransmittance:
         with pytest.raises(ValidationError):
             transmittance_from_distance(-1.0)
 
+    @pytest.mark.parametrize("km", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, km):
+        with pytest.raises(ValidationError, match="distance must be finite"):
+            transmittance_from_distance(km)
+
 
 class TestOptimizeIntensity:
     def test_long_haul_prefers_smaller_mu(self):
@@ -290,3 +295,9 @@ class TestChannelParams:
             ChannelParams(-0.1, 0.2, 0.5, 0.5)
         with pytest.raises(ValidationError):
             ChannelParams(0.1, 0.2, 0.0, 0.5)
+
+    @pytest.mark.parametrize("mus", [(float("nan"), 0.2), (0.2, float("nan")),
+                                     (float("inf"), 0.2), (0.2, float("inf"))])
+    def test_non_finite_intensity_rejected(self, mus):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ChannelParams(*mus, 0.5, 0.5)

@@ -1,10 +1,12 @@
 """Unit tests for the Monte Carlo protocol simulation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from twinfield_qka import simulation
 from twinfield_qka.errors import UsageError, ValidationError
 from twinfield_qka.keyrate import (
     holevo_closed,
@@ -13,7 +15,12 @@ from twinfield_qka.keyrate import (
     transmittance_from_distance,
 )
 from twinfield_qka.simulation import (
+    BLOCK_SIZE,
+    OUTCOME_CODES,
     SessionConfig,
+    _block_events,
+    _block_rng,
+    background_click_probability,
     calibrate_source_intensity,
     interfere_and_detect,
     reconcile_pair,
@@ -32,6 +39,114 @@ def noiseless(n_pulses, mu=0.2, total_km=0.0, seed=0):
     )
 
 
+# --- the per-pulse oracle ---------------------------------------------------
+#
+# run_session draws only the conclusive rounds.  The oracle below draws what
+# the protocol describes for every pulse: three phase bits and one uniform per
+# detector, announced and sifted pulse by pulse.  Both must have the same law.
+
+#: One-sided tail of 5 standard deviations of a normal distribution.
+TAIL_5_SIGMA = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
+
+
+def node_laws(config):
+    """Per node (AB, BC): arrival intensity, P(conclusive), P(error | conclusive)."""
+    t_a, t_b, t_bp, t_c = (transmittance_from_distance(l) for l in config.arm_lengths)
+    p_bg = background_click_probability(config.y0, config.dark_count_prob)
+    laws = []
+    for m in (min(config.mu_a * t_a, config.mu_b * t_b),
+              min(config.mu_b * t_bp, config.mu_c * t_c)):
+        p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
+        p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
+        laws.append((m, p_conc, p_bg * (1.0 - p_sig) / p_conc))
+    return laws
+
+
+def announce_block(k_end, kb, p_signal, p_bg, u_plus, u_minus):
+    """One node's announcements (+1, -1, 0 for '?') over a block of pulses."""
+    equal_mask = k_end == kb
+    click_plus = np.where(equal_mask, u_plus < p_signal, u_plus < p_bg)
+    click_minus = np.where(equal_mask, u_minus < p_bg, u_minus < p_signal)
+    ann = np.zeros(len(u_plus), dtype=np.int8)
+    ann[click_plus & ~click_minus] = 1
+    ann[click_minus & ~click_plus] = -1
+    return ann
+
+
+def per_pulse_session(config):
+    """Per node (AB, BC): conclusive pulse indices, the flipper's and Bob's sifted bits.
+
+    Alice (node AB) and Charlie (node BC) flip their bit on '-'; Bob keeps his.
+    """
+    p_bg = background_click_probability(config.y0, config.dark_count_prob)
+    p_sig = [1.0 - (1.0 - p_bg) * math.exp(-2.0 * m) for m, _, _ in node_laws(config)]
+    nodes = ([], [])
+    n = config.n_pulses
+    for bi in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        cnt = min(n - bi * BLOCK_SIZE, BLOCK_SIZE)
+        rng = _block_rng(config.seed, bi)
+        ka = rng.integers(0, 2, cnt, dtype=np.uint8)
+        kb = rng.integers(0, 2, cnt, dtype=np.uint8)
+        kc = rng.integers(0, 2, cnt, dtype=np.uint8)
+        u = rng.random((4, cnt))
+        for i, k_end in enumerate((ka, kc)):
+            ann = announce_block(k_end, kb, p_sig[i], p_bg, u[2 * i], u[2 * i + 1])
+            conc = np.flatnonzero(ann)
+            nodes[i].append((conc + bi * BLOCK_SIZE, k_end[conc] ^ (ann[conc] < 0), kb[conc]))
+    return [tuple(np.concatenate(parts) for parts in zip(*node)) for node in nodes]
+
+
+def recorded_session(config, monkeypatch):
+    """run_session, and per node the events it drew: positions, flipper's bits, Bob's bits."""
+    blocks = []
+    real = simulation._block_events
+
+    def spy(rng, cnt, laws):
+        events = real(rng, cnt, laws)
+        offset = len(blocks) * BLOCK_SIZE
+        blocks.append([(pos + offset, bob ^ err, bob) for pos, bob, err in events])
+        return events
+
+    monkeypatch.setattr(simulation, "_block_events", spy)
+    res = run_session(config)
+    return res, [tuple(np.concatenate(parts) for parts in zip(*(b[i] for b in blocks)))
+                 for i in range(2)]
+
+
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def two_sample_tail(e1, k1, e2, k2):
+    """Tail of e1 errors in k1 rounds against e2 in k2, under one common error rate.
+
+    Conditional on the e1 + e2 errors in all, e1 is hypergeometric (Fisher's
+    exact test).  Returns P(X >= e1) if e1 lies above its mean, else P(X <= e1).
+    """
+    errors, rounds = e1 + e2, k1 + k2
+    lo, hi = max(0, errors - k2), min(errors, k1)
+    step = 1 if e1 * rounds >= errors * k1 else -1
+    term = total = math.exp(_log_comb(k1, e1) + _log_comb(k2, e2) - _log_comb(rounds, errors))
+    x = e1
+    while lo <= x + step <= hi:
+        if step > 0:
+            term *= (k1 - x) * (errors - x) / ((x + 1) * (k2 - errors + x + 1))
+        else:
+            term *= x * (k2 - errors + x) / ((k1 - x + 1) * (errors - x + 1))
+        total += term
+        x += step
+        if term <= total * 1e-17:
+            break
+    return min(total, 1.0)
+
+
+def bob_agreements(nodes):
+    """Pulses conclusive at both nodes, and how many of them carry equal Bob bits."""
+    (pos_ab, _, bob_ab), (pos_bc, _, bob_bc) = nodes
+    common, i_ab, i_bc = np.intersect1d(pos_ab, pos_bc, assume_unique=True, return_indices=True)
+    return len(common), int(np.count_nonzero(bob_ab[i_ab] == bob_bc[i_bc]))
+
+
 class TestCalibration:
     def test_direct_division(self):
         assert calibrate_source_intensity(0.1, 0.5) == pytest.approx(0.2)
@@ -42,6 +157,12 @@ class TestCalibration:
     def test_zero_transmittance_rejected(self):
         with pytest.raises(ValidationError):
             calibrate_source_intensity(0.1, 0.0)
+
+    @pytest.mark.parametrize("args", [(float("nan"), 0.5), (float("inf"), 0.5), (-0.1, 0.5),
+                                      (0.1, float("nan"))])
+    def test_bad_inputs_rejected(self, args):
+        with pytest.raises(ValidationError):
+            calibrate_source_intensity(*args)
 
 
 class TestInterfereAndDetect:
@@ -69,6 +190,11 @@ class TestInterfereAndDetect:
         m = 0.3
         p = 1 - math.exp(-2 * m)
         assert interfere_and_detect("+", "-", m, draws=(0.9, p - 1e-9)) == "-"
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.1])
+    def test_bad_intensity_rejected(self, mu):
+        with pytest.raises(ValidationError, match="arrival intensity"):
+            interfere_and_detect(0, 0, mu)
 
 
 class TestRunSession:
@@ -197,6 +323,125 @@ class TestRunSession:
             SessionConfig(n_pulses=10, y0=1.5)
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=10, arm_lengths=(1.0, 1.0, 1.0))
+
+
+#: One and a half random blocks, so every case crosses a block boundary.
+ORACLE_PULSES = 3 << 19
+
+ORACLE_CASES = {
+    "0 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=0.0, seed=1),
+    "120 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=120.0, seed=2),
+    "250 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=250.0, seed=3),
+    "heavy background": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=40.0,
+                                                 y0=0.3, seed=4),
+    "unequal arms": SessionConfig(n_pulses=ORACLE_PULSES, arm_lengths=(30.0, 10.0, 5.0, 60.0),
+                                  y0=1e-3, seed=5),
+}
+
+
+class TestPerPulseOracle:
+    def test_oracle_announces_like_interfere_and_detect(self):
+        rng = np.random.default_rng(3)
+        n, m, y0, dark = 4000, 0.3, 0.2, 0.05
+        k_end, kb = rng.integers(0, 2, (2, n), dtype=np.uint8)
+        u = rng.random((2, n))
+        p_bg = background_click_probability(y0, dark)
+        p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
+        ann = announce_block(k_end, kb, p_sig, p_bg, u[0], u[1])
+        want = [OUTCOME_CODES[interfere_and_detect(int(a), int(b), m, y0, dark, draws=(x, y))]
+                for a, b, x, y in zip(k_end, kb, u[0], u[1])]
+        assert ann.tolist() == want
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_counts_errors_and_bob_bits_match(self, case, monkeypatch):
+        config = ORACLE_CASES[case]
+        res, events = recorded_session(config, monkeypatch)
+        oracle = per_pulse_session(replace(config, seed=config.seed + 100))
+        n = config.n_pulses
+        # The recorded events are exactly the session's keys.
+        assert np.array_equal(res.sifted_ab[0], events[0][1])
+        assert np.array_equal(res.sifted_ab[1], events[0][2])
+        assert np.array_equal(res.sifted_bc[0], events[1][2])
+        assert np.array_equal(res.sifted_bc[1], events[1][1])
+        for (_, end, bob), (_, o_end, o_bob), node in zip(events, oracle, ("AB", "BC")):
+            k1, k2 = len(end), len(o_end)
+            assert res.conclusive_counts[node] == k1
+            p = (k1 + k2) / (2 * n)
+            assert abs(k1 - k2) < 5 * math.sqrt(2 * n * p * (1 - p)), node
+            e1 = int(np.count_nonzero(end != bob))
+            e2 = int(np.count_nonzero(o_end != o_bob))
+            assert two_sample_tail(e1, k1, e2, k2) >= TAIL_5_SIGMA, (node, e1, k1, e2, k2)
+        # Bob's bit is shared: every pulse conclusive at both nodes agrees.
+        (_, p_ab, _), (_, p_bc, _) = node_laws(config)
+        p_both = p_ab * p_bc
+        sigma = math.sqrt(n * p_both * (1 - p_both))
+        for nodes in (events, oracle):
+            common, agree = bob_agreements(nodes)
+            assert agree == common
+            assert abs(agree - n * p_both) < 5 * sigma, (agree, n * p_both)
+
+    def test_error_rate_matches_the_model(self):
+        # Heavy background: the QBER has the power to see a wrong error law.
+        config = ORACLE_CASES["heavy background"]
+        res = run_session(config)
+        for (_, _, q), node, qber in zip(node_laws(config), ("AB", "BC"),
+                                         (res.qber_ab, res.qber_bc)):
+            k = res.conclusive_counts[node]
+            assert abs(qber - q) < 5 * math.sqrt(q * (1 - q) / k), node
+
+
+class TestEventSampling:
+    def test_first_block_independent_of_session_length(self):
+        kwargs = dict(mu=0.2, total_km=120.0, y0=1e-3, seed=21)
+        short = run_session(SessionConfig.equal_arms(n_pulses=1 << 20, **kwargs))
+        long = run_session(SessionConfig.equal_arms(n_pulses=(1 << 20) + 123, **kwargs))
+        for s_key, l_key in zip((*short.sifted_ab, *short.sifted_bc),
+                                (*long.sifted_ab, *long.sifted_bc)):
+            assert len(l_key) >= len(s_key)
+            assert np.array_equal(l_key[:len(s_key)], s_key)
+
+    def test_never_conclusive_gives_no_events(self):
+        for pos, bob, err in _block_events(_block_rng(0, 0), 5000, [(0.0, 0.0), (0.0, 0.0)]):
+            assert len(pos) == len(bob) == len(err) == 0
+            assert bob.dtype == np.uint8
+
+    def test_always_conclusive_has_no_gaps(self):
+        # Bright pulses and no background: every round is conclusive at both nodes.
+        n = 5000
+        res = run_session(SessionConfig(n_pulses=n, mu_a=1e3, mu_b=1e3, mu_c=1e3,
+                                        y0=0.0, dark_count_prob=0.0, seed=8))
+        assert res.conclusive_counts == {"AB": n, "BC": n}
+        assert np.array_equal(res.sifted_ab[1], res.sifted_bc[0])
+        for pos, _, _ in _block_events(_block_rng(8, 0), n, [(1.0, 0.0), (1.0, 0.0)]):
+            assert np.array_equal(pos, np.arange(n))
+
+    def test_rare_events_terminate(self):
+        # m = 5e-10 per arm gives P(conclusive) close to 1e-9.
+        cfg = SessionConfig(n_pulses=(1 << 20) + 5, mu_a=5e-10, mu_b=5e-10, mu_c=5e-10,
+                            y0=0.0, dark_count_prob=0.0, seed=9)
+        res = run_session(cfg)
+        assert res.conclusive_counts["AB"] <= 5
+        # Gaps saturate at the int64 maximum here; summing them must not
+        # overflow into positions that never pass the block.
+        rng = CountingRng(_block_rng(9, 0))
+        for pos, _, _ in _block_events(rng, BLOCK_SIZE, [(1e-300, 0.0), (5e-324, 0.0)]):
+            assert len(pos) == 0
+        assert rng.geometric_calls == 2
+
+
+class CountingRng:
+    """A Generator that counts geometric draws and stops a loop that would not end."""
+
+    def __init__(self, rng):
+        self.rng, self.geometric_calls = rng, 0
+
+    def geometric(self, p, size):
+        self.geometric_calls += 1
+        assert self.geometric_calls < 100, "the gap draws do not pass the block"
+        return self.rng.geometric(p, size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class TestSiftPair:
