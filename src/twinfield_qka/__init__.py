@@ -64,11 +64,8 @@ from .network import (
 from .simulation import (
     SessionConfig,
     SessionResult,
-    calibrate_source_intensity,
-    interfere_and_detect,
     reconcile_pair,
     run_session,
-    sift_pair,
 )
 
 __version__ = "0.1.0"

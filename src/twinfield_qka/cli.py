@@ -94,11 +94,11 @@ def _write_text(text: str, path) -> None:
         raise ValidationError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _emit(rows, args, fieldnames=None) -> None:
+def _emit(rows, args) -> None:
     if args.format == "json":
         _write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        emit_csv(rows, args.out, fieldnames)
+        emit_csv(rows, args.out)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -114,9 +114,8 @@ def _cmd_discriminate(args) -> int:
         mus = [args.mu]
     rows = []
     for mu in mus:
-        if mu < 0:
-            raise ValidationError(f"--mu must be >= 0, got {mu}")
-    for mu in mus:
+        if not 0 <= mu < math.inf:  # also false for NaN
+            raise ValidationError(f"--mu must be finite and >= 0, got {mu}")
         res = discriminate(float(mu))
         rows.append(
             {

@@ -18,42 +18,26 @@ Whatever the phase bits, a node is conclusive with probability
 p_conc = p_sig (1 - p_bg) + p_bg (1 - p_sig), and a conclusive round is an
 error with probability p_bg (1 - p_sig) / p_conc, independent of Bob's bit.
 So a session draws only the conclusive rounds (geometric gaps), with Bob's
-bit and an error flag each: the law of drawing every pulse through
-`interfere_and_detect`.  Per-block Philox streams keyed by (seed, block_index)
+bit and an error flag each: the law of drawing every pulse and applying
+the click rule above (the per-pulse oracle in `tests/test_simulation.py`
+checks this).  Per-block Philox streams keyed by (seed, block_index)
 make a session bit-for-bit reproducible however the pulse loop is chunked.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
+from .errors import ValidationError
 from .keyrate import holevo_closed, transmittance_from_distance
 from .linalg import binary_entropy
 
 #: Pulses per random block.  Fixed: changing it changes every session stream.
 BLOCK_SIZE = 1 << 20
-
-OUTCOME_CODES = {"+": 1, "-": -1, "?": 0}
-
-
-def announcements_to_codes(announcements) -> np.ndarray:
-    """Normalize a sequence of '+', '-', '?' (or +1/-1/0 codes) to int8."""
-    arr = np.asarray(announcements)
-    if arr.dtype.kind in "US" or arr.dtype == object:
-        try:
-            return np.array([OUTCOME_CODES[str(a)] for a in arr], dtype=np.int8)
-        except KeyError as exc:
-            raise ValidationError(f"unknown announcement symbol {exc.args[0]!r}") from exc
-    codes = arr.astype(np.int8)
-    if not np.isin(codes, (-1, 0, 1)).all():
-        raise ValidationError("announcement codes must be -1, 0 or +1")
-    return codes
 
 
 @dataclass(frozen=True)
@@ -119,52 +103,9 @@ class SessionResult:
     skr_bps: float
 
 
-def calibrate_source_intensity(target_mu_at_node: float, arm_transmittance: float) -> float:
-    """Source intensity needed so the pulse arrives at the node with target_mu."""
-    if not 0.0 < arm_transmittance <= 1.0:
-        raise ValidationError(f"arm transmittance must lie in (0, 1], got {arm_transmittance!r}")
-    if not 0.0 <= target_mu_at_node < math.inf:
-        raise ValidationError(f"target intensity must be finite and >= 0, got {target_mu_at_node!r}")
-    return target_mu_at_node / arm_transmittance
-
-
 def background_click_probability(y0: float, dark_count_prob: float) -> float:
     """Single per-gate background probability folding stray light and darks."""
     return 1.0 - (1.0 - y0) * (1.0 - dark_count_prob)
-
-
-def interfere_and_detect(phase_left, phase_right, mu_at_node: float,
-                         y0: float = 0.0, dark_count_prob: float = 0.0,
-                         draws=(0.5, 0.5)) -> str:
-    """One node measurement: returns '+', '-' or '?'.
-
-    phase_left/phase_right are the phase bits (0/1, or '+'/'-') of the two
-    arriving pulses, mu_at_node their common arrival intensity, and draws a
-    pair of uniform [0,1) variates, one per detector.
-    """
-    if not 0.0 <= mu_at_node < math.inf:
-        raise ValidationError(f"arrival intensity must be finite and >= 0, got {mu_at_node!r}")
-    equal = _phase_bit(phase_left) == _phase_bit(phase_right)
-    p_bg = background_click_probability(y0, dark_count_prob)
-    p_signal = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * mu_at_node)
-    u_plus, u_minus = draws
-    click_plus = u_plus < (p_signal if equal else p_bg)
-    click_minus = u_minus < (p_bg if equal else p_signal)
-    if click_plus and not click_minus:
-        return "+"
-    if click_minus and not click_plus:
-        return "-"
-    return "?"
-
-
-def _phase_bit(value) -> int:
-    if value in (0, 1):
-        return int(value)
-    if value == "+":
-        return 0
-    if value == "-":
-        return 1
-    raise ValidationError(f"phase must be a bit (0/1) or '+'/'-', got {value!r}")
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -258,29 +199,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     )
 
 
-def sift_pair(my_bits, partner_bits, announcements, role: str):
-    """Drop inconclusive rounds and apply the flip rule; returns both sifted keys.
-
-    role 'flipper' inverts my_bits on '-' announcements (Alice's role at
-    node AB, Charlie's at node BC); role 'keeper' leaves them alone.
-    """
-    if role not in ("flipper", "keeper"):
-        raise UsageError(f"role must be 'flipper' or 'keeper', got {role!r}")
-    mine = np.asarray(my_bits, dtype=np.uint8)
-    partner = np.asarray(partner_bits, dtype=np.uint8)
-    codes = announcements_to_codes(announcements)
-    if not (len(mine) == len(partner) == len(codes)):
-        raise ValidationError(
-            f"length mismatch: {len(mine)} bits vs {len(partner)} bits "
-            f"vs {len(codes)} announcements"
-        )
-    conc = codes != 0
-    mine = mine[conc]
-    if role == "flipper":
-        mine = (mine ^ (codes[conc] < 0)).astype(np.uint8)
-    return mine, partner[conc]
-
-
 def reconcile_pair(k_ab, k_bc):
     """Bridge announcement k_ab XOR k_bc after truncating to the shorter key.
 
@@ -299,22 +217,6 @@ def _as_key_bits(bits) -> np.ndarray:
     if arr.size and arr.max() > 1:
         raise ValidationError("key bits must be 0 or 1")
     return arr
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def session_config_to_json(config: SessionConfig) -> str:
-    doc = asdict(config)
-    doc["arm_lengths"] = list(config.arm_lengths)
-    return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def session_config_from_json(text: str) -> SessionConfig:
-    doc = json.loads(text)
-    if "arm_lengths" in doc:
-        doc["arm_lengths"] = tuple(doc["arm_lengths"])
-    return SessionConfig(**doc)
 
 
 def _key_digest(bits: np.ndarray) -> str:

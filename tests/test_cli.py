@@ -344,6 +344,8 @@ class TestNonFiniteInputs:
         ["simulate", "--distance-km", "nan"],
         ["plan", "NET", "--mu", "nan"],
         ["plan", "NET", "--delta-ec", "nan"],
+        ["discriminate", "--mu", "nan"],
+        ["discriminate", "--mu", "inf"],
     ])
     def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
         net = tmp_path / "net.json"
@@ -354,6 +356,7 @@ class TestNonFiniteInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "must be finite" in captured.err  # the input check, not a later failure
         assert not out.exists()
 
 
