@@ -9,6 +9,7 @@ computation has succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.2)
     p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
     add_common(p)
-    p.set_defaults(func=_cmd_discriminate, default_format="csv")
+    p.set_defaults(default_format="csv")
 
     p = sub.add_parser("keyrate", help="asymptotic secret key rate")
     p.add_argument("--mu", type=float, default=0.2)
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="error-correction leakage per conclusive round (bits)")
     p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
     add_common(p)
-    p.set_defaults(func=_cmd_keyrate, default_format="csv")
+    p.set_defaults(default_format="csv")
 
     p = sub.add_parser("simulate", help="Monte Carlo session")
     p.add_argument("--pulses", type=int, default=100000)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ec-efficiency", type=float, default=0.0)
     add_common(p)
-    p.set_defaults(func=_cmd_simulate, default_format="json")
+    p.set_defaults(default_format="json")
 
     p = sub.add_parser("plan", help="plan an N-party network and dry-run reconciliation")
     p.add_argument("network", help="network JSON file, or - for stdin")
@@ -352,31 +353,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key-length", type=int, default=256)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_plan, default_format=None)
+    p.set_defaults(default_format=None)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(func=_cmd_selftest, default_format=None)
+    p.set_defaults(default_format=None)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    """Parse argv and run one subcommand; returns the process exit code."""
-    parser = build_parser()
+    """Parse argv and run one subcommand; returns the process exit code.
+
+    The parser is built once per process.  The handler is looked up by name
+    on each call, so a `_cmd_*` replaced after the first call is the one run.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 2
     if getattr(args, "format", None) is None and args.default_format is not None:
         args.format = args.default_format
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # its message may be empty
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -51,8 +51,12 @@ def basis_coeffs(mu: float) -> CoherentBasisCoeffs:
     """Even/odd branch amplitudes c0, c1 for mean photon number mu."""
     if mu < 0:
         raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
-    c0 = math.exp(-mu / 2.0) * math.sqrt(math.cosh(mu))
-    c1 = math.exp(-mu / 2.0) * math.sqrt(math.sinh(mu))
+    try:
+        cosh, sinh = math.cosh(mu), math.sinh(mu)
+    except OverflowError:  # mu above ~710
+        raise ValidationError(f"mean photon number too large: cosh({mu!r}) overflows") from None
+    c0 = math.exp(-mu / 2.0) * math.sqrt(cosh)
+    c1 = math.exp(-mu / 2.0) * math.sqrt(sinh)
     return CoherentBasisCoeffs(mu=mu, c0=c0, c1=c1)
 
 

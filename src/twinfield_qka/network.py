@@ -24,6 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -90,6 +91,7 @@ class PartyGraph:
         Euclidean distance, which requires coordinates for everyone.
         """
         ids = []
+        seen = set()  # for O(1) duplicate and endpoint checks
         coords = {}
         for p in parties:
             if isinstance(p, (tuple, list)):
@@ -104,9 +106,10 @@ class PartyGraph:
                         )
                 coords[pid] = (float(x), float(y))
             else:
-                pid = p
-            if pid in ids:
+                pid = _scalar_id(p)
+            if pid in seen:
                 raise ValidationError(f"duplicate party id {pid!r}")
+            seen.add(pid)
             ids.append(pid)
         if len(ids) < 2:
             raise ValidationError("a network needs at least two parties")
@@ -120,14 +123,13 @@ class PartyGraph:
                 (a, b, math.dist(coords[a], coords[b]))
                 for a, b in combinations(ids, 2)
             ]
-        known = set(ids)
         clean = []
         for edge in edges:
             try:
                 a, b, km = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge must be (a, b, km), got {edge!r}") from None
-            if a not in known or b not in known:
+            if a not in seen or b not in seen:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party")
             if a == b:
                 raise ValidationError(f"self-loop on party {a!r}")
@@ -179,11 +181,22 @@ def minimum_network(graph: PartyGraph) -> list:
     deterministic.  Raises PlanningError listing the components when the
     graph is disconnected.
     """
-    edges = []
+    # One key per party.  An endpoint equal to its party but of another type
+    # (True for party 1) has a key of its own, so those few are recomputed.
+    key = {p: (_id_key(p), type(p)) for p in graph.parties}
+    ranked = []
     for a, b, km in graph.edges:
-        lo, hi = sorted((a, b), key=_id_key)
-        edges.append((km, lo, hi))
-    edges.sort(key=lambda e: (e[0], _id_key(e[1]), _id_key(e[2])))
+        ka, type_a = key[a]
+        kb, type_b = key[b]
+        if type(a) is not type_a:
+            ka = _id_key(a)
+        if type(b) is not type_b:
+            kb = _id_key(b)
+        if kb < ka:  # only a strictly smaller key swaps: equal keys keep (a, b)
+            ranked.append((km, kb, ka, b, a))
+        else:
+            ranked.append((km, ka, kb, a, b))
+    ranked.sort(key=itemgetter(0, 1, 2))  # stable: ties keep the edge order
 
     parent = {p: p for p in graph.parties}
 
@@ -194,7 +207,7 @@ def minimum_network(graph: PartyGraph) -> list:
         return x
 
     tree = []
-    for km, a, b in edges:
+    for km, _, _, a, b in ranked:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb

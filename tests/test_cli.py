@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from twinfield_qka import simulation
+from twinfield_qka import cli, simulation
 from twinfield_qka.cli import _all_converge, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
@@ -358,6 +358,76 @@ class TestNonFiniteInputs:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "must be finite" in captured.err  # the input check, not a later failure
         assert not out.exists()
+
+
+class TestOutOfRangeInputs:
+    """Inputs that overflow or exhaust memory end in one error line, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["discriminate", "--mu", "1e3"],
+        ["discriminate", "--mu", "1e300"],
+        ["discriminate", "--sweep", "mu:0:1000:3"],
+        ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
+    ])
+    def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(FIG_SEVEN_JSON)
+        out = tmp_path / "out"
+        argv = [str(net) if a == "NET" else a for a in argv]
+        assert dispatch([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """One parser serves every dispatch of a process."""
+
+    def test_handler_replaced_after_a_call_is_the_one_run(self, monkeypatch, capsys):
+        # A tracer wraps the handlers after warm-up calls have built the parser.
+        assert dispatch(["keyrate"]) == 0
+        seen = []
+
+        def fake(args):
+            seen.append(args.command)
+            return 7
+
+        monkeypatch.setattr(cli, "_cmd_selftest", fake)
+        assert dispatch(["selftest"]) == 7
+        assert seen == ["selftest"]
+        capsys.readouterr()
+
+    def test_format_and_out_do_not_carry_over(self, tmp_path, capsys):
+        assert dispatch(["keyrate", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["mu"] == 0.2
+        assert dispatch(["keyrate"]) == 0
+        assert capsys.readouterr().out.startswith("L_km,mu,eta,sift,chi,rate\n")
+
+        first, second = tmp_path / "a.json", tmp_path / "b.csv"
+        assert dispatch(["keyrate", "--format", "json", "--out", str(first)]) == 0
+        written = first.read_text()
+        assert dispatch(["keyrate", "--distance-km", "50", "--out", str(second)]) == 0
+        assert capsys.readouterr().out == ""
+        assert first.read_text() == written
+        assert json.loads(written)[0]["L_km"] == 0.0
+        assert read_csv(second.read_text())[0]["L_km"] == "50"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.csv"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["keyrate", "--no-such-flag"], 2),
+        (["keyrate", "--mu", "x"], 2),
+        (["--help"], 0),
+        (["plan", "--help"], 0),
+    ])
+    def test_normal_call_after_an_early_exit(self, argv, code, capsys):
+        assert dispatch(["discriminate", "--mu", "0.3"]) == 0
+        expected = capsys.readouterr().out
+        assert dispatch(argv) == code
+        capsys.readouterr()
+        assert dispatch(["discriminate", "--mu", "0.3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected and captured.err == ""
 
 
 class TestSelftestCommand:

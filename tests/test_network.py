@@ -12,6 +12,7 @@ from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
     PartyGraph,
     Segment,
+    _id_key,
     _segment_adjacency_tree,
     derive_global_key,
     minimum_network,
@@ -158,6 +159,14 @@ class TestPartyGraph:
         with pytest.raises(ValidationError):
             PartyGraph.build([1, 2], [(1, 2)])
 
+    @pytest.mark.parametrize("bad", [{}, {"a": 1}, [], [1]])
+    def test_bare_list_or_dict_id_rejected(self, bad):
+        # A list of length 3 is an (id, x, y) triple; any other is a bad id.
+        with pytest.raises(ValidationError):
+            PartyGraph.build([bad, 1], [])
+        with pytest.raises(ValidationError):
+            PartyGraph.build([1, bad], [])
+
     def test_json_parsing(self):
         text = """
         {"parties": [{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}],
@@ -167,7 +176,93 @@ class TestPartyGraph:
         assert g.edges == ((1, 2, 7.5),)
 
 
+def kruskal_reference(graph):
+    """The Kruskal that sorted with _id_key per comparison: the oracle for minimum_network."""
+    edges = []
+    for a, b, km in graph.edges:
+        lo, hi = sorted((a, b), key=_id_key)
+        edges.append((km, lo, hi))
+    edges.sort(key=lambda e: (e[0], _id_key(e[1]), _id_key(e[2])))
+
+    parent = {p: p for p in graph.parties}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for km, a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            tree.append((a, b, km))
+    if len(tree) != len(graph.parties) - 1:
+        comps = {}
+        for p in graph.parties:
+            comps.setdefault(find(p), []).append(p)
+        groups = sorted(
+            (sorted(c, key=_id_key) for c in comps.values()),
+            key=lambda c: _id_key(c[0]),
+        )
+        raise PlanningError(f"graph is disconnected; components: {groups}")
+    return tree
+
+
+#: Party slots: the id a party takes, and the equal values an edge may name it
+#: by.  True == 1 == 1.0 but True sorts as a string; 2**53 and 2**53 + 1 share
+#: the float key 2**53; None and "None" share a string key.
+ID_SLOTS = [
+    [1, True, 1.0], [0, False, 0.0], [2**53], [2**53 + 1], [-3], [7.5],
+    ["a"], ["b"], ["7.5"], ["True"], ["None"], [None], [12], ["12"],
+]
+
+
+def random_mixed_graph(rng):
+    slots = [ID_SLOTS[i] for i in rng.choice(len(ID_SLOTS), int(rng.integers(2, 12)), replace=False)]
+    parties = [slot[int(rng.integers(len(slot)))] for slot in slots]
+
+    def name(i):  # any equal value of party i, in any type
+        return slots[i][int(rng.integers(len(slots[i])))]
+
+    n = len(parties)
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if rng.random() < 0.5]
+    if rng.random() < 0.8:  # usually connected
+        order = rng.permutation(n)
+        pairs.extend(zip(order[:-1], order[1:]))
+    edges = []
+    for i, j in pairs:
+        if rng.random() < 0.5:
+            i, j = j, i
+        km = float(rng.integers(1, 4)) if rng.random() < 0.7 else float(rng.uniform(1, 4))
+        edges.append((name(i), name(j), km))
+        if rng.random() < 0.1:  # a parallel edge, possibly reversed
+            edges.append((name(j), name(i), km))
+    return PartyGraph.build(parties, edges)
+
+
 class TestMinimumNetwork:
+    def test_matches_the_reference_kruskal(self):
+        rng = np.random.default_rng(5301)
+        outcomes = {"tree": 0, "disconnected": 0}
+        for _ in range(300):
+            g = random_mixed_graph(rng)
+            try:
+                expected = kruskal_reference(g)
+            except PlanningError as exc:
+                with pytest.raises(PlanningError) as got:
+                    minimum_network(g)
+                assert str(got.value) == str(exc)
+                outcomes["disconnected"] += 1
+                continue
+            tree = minimum_network(g)
+            # Element types too: True and 1 are equal, but print differently.
+            assert [tuple(map(type, e)) for e in tree] == [tuple(map(type, e)) for e in expected]
+            assert tree == expected
+            outcomes["tree"] += 1
+        assert min(outcomes.values()) > 10
+
     def test_triangle_keeps_two_shortest(self):
         g = PartyGraph.build([1, 2, 3], [(1, 2, 1.0), (2, 3, 2.0), (1, 3, 3.0)])
         tree = minimum_network(g)
