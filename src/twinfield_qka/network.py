@@ -40,9 +40,21 @@ def _id_key(party):
 
 
 def _scalar_id(pid):
-    """Return pid, rejecting a list or an object: party ids are JSON scalars."""
+    """Return pid, rejecting a list, an object or a number that is not finite.
+
+    Party ids are JSON scalars.  NaN is not even equal to itself, so no
+    lookup or union-find could ever match it, and _id_key sorts numbers as
+    floats, which an int beyond the float range cannot become.
+    """
     if isinstance(pid, (list, dict)):
         raise ValidationError(f"party id must be a string or a number, got {pid!r}")
+    if isinstance(pid, (int, float)):
+        try:
+            finite = math.isfinite(pid)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"party id must be finite and within float range, got {pid!r}")
     return pid
 
 

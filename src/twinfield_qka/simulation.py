@@ -17,11 +17,15 @@ Exactly one click maps to '+' or '-', zero or two clicks to '?'.
 Whatever the phase bits, a node is conclusive with probability
 p_conc = p_sig (1 - p_bg) + p_bg (1 - p_sig), and a conclusive round is an
 error with probability p_bg (1 - p_sig) / p_conc, independent of Bob's bit.
-So a session draws only the conclusive rounds (geometric gaps), with Bob's
-bit and an error flag each: the law of drawing every pulse and applying
-the click rule above (the per-pulse oracle in `tests/test_simulation.py`
-checks this).  Per-block Philox streams keyed by (seed, block_index)
-make a session bit-for-bit reproducible however the pulse loop is chunked.
+So a session draws only the conclusive rounds, with Bob's bit and an error
+flag each: the law of drawing every pulse and applying the click rule
+above (the per-pulse oracle in `tests/test_simulation.py` checks this).
+Both the conclusive rounds among the pulses and the errors among those
+rounds are drawn as sparse successes of Bernoulli trials, with geometric
+gaps by inversion of standard exponentials, so the cost follows the number
+of successes, not of trials.  Per-block Philox streams keyed by
+(seed, block_index) make a session bit-for-bit reproducible however the
+pulse loop is chunked.
 """
 
 from __future__ import annotations
@@ -113,26 +117,51 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _successes(rng, n: int, p: float) -> np.ndarray:
+    """Sorted int64 indices of the successes among n Bernoulli(p) trials.
+
+    The gaps between successes are geometric, drawn by inversion from
+    standard exponentials E as floor(E / -log1p(-p)) + 1, in batches until
+    one passes n.  Gaps are capped at n + 1, so the float64 running sums
+    stay exact integers (below about 2^41 for BLOCK_SIZE trials).  Dividing
+    (by inf when p == 1) rather than multiplying by the reciprocal keeps
+    0 * inf = NaN out.
+    """
+    if p == 0 or n == 0:
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-p) if p < 1 else math.inf
+    batches, last = [], -1.0
+    while last < n:
+        mean = (n - last) * p
+        pos = rng.standard_exponential(int(mean + 5.0 * math.sqrt(mean) + 16))
+        with np.errstate(over="ignore"):  # a tiny p overflows to inf, capped below
+            pos /= rate
+        np.floor(pos, out=pos)
+        np.minimum(pos, n, out=pos)
+        pos += 1.0
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        batches.append(pos)
+        last = pos[-1]
+    pos = np.concatenate(batches) if len(batches) > 1 else batches[0]
+    return pos[: np.searchsorted(pos, n)].astype(np.int64)
+
+
 def _block_events(rng, cnt: int, laws):
     """Per node law (P(conclusive), P(error | conclusive)): positions, Bob's bits, errors.
 
-    Positions are cumulative geometric gaps, drawn until one passes the block
-    (gaps capped at cnt + 1 so sums cannot overflow); Bob's bits are one
-    packed draw per block, shared by both nodes.
+    Positions are the successes among the block's cnt pulses and the error
+    flags the successes among the node's events, both drawn sparsely by
+    _successes; Bob's bits are one packed draw per block, shared by both nodes.
     """
     kb = np.frombuffer(rng.bytes((cnt + 7) >> 3), dtype=np.uint8)
     events = []
     for p, q in laws:
-        batches, last = [np.empty(0, dtype=np.int64)], -1
-        while p > 0 and last < cnt:
-            mean = (cnt - last) * p
-            gaps = rng.geometric(p, int(mean + 5.0 * math.sqrt(mean) + 16))
-            batches.append(last + np.cumsum(np.minimum(gaps, cnt + 1)))
-            last = int(batches[-1][-1])
-        pos = np.concatenate(batches)
-        pos = pos[: np.searchsorted(pos, cnt)]
+        pos = _successes(rng, cnt, p)
         bob = (kb[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-        events.append((pos, bob, rng.random(len(pos)) < q))
+        err = np.zeros(len(pos), dtype=bool)
+        err[_successes(rng, len(pos), q)] = True
+        events.append((pos, bob, err))
     return events
 
 

@@ -189,12 +189,12 @@ class TestSimulateCommand:
         assert dispatch(args) == 0
         assert len(calls) == 4
         assert capsys.readouterr().err == (
-            "conclusive AB / BC        4568 / 4360\n"
-            "qber AB / BC              0.000437828 / 0\n"
-            "sifted rate (bottleneck)  0.0218\n"
+            "conclusive AB / BC        4568 / 4442\n"
+            "qber AB / BC              0 / 0\n"
+            "sifted rate (bottleneck)  0.02221\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00344905\n"
-            "secret key rate bps       3.44905e+06\n"
+            "secret key rate /pulse    0.00351391\n"
+            "secret key rate bps       3.51391e+06\n"
         )
 
 
@@ -283,6 +283,21 @@ class TestPlanCommand:
     def test_malformed_party_is_a_clean_error(self, party, capsys, monkeypatch):
         net = {"parties": [party, {"id": 2, "x": 3, "y": 4}, {"id": 3, "x": 6, "y": 8}]}
         self.assert_clean_error(net, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_party_id_is_a_clean_error(self, token, tmp_path, capsys):
+        # A NaN id used to loop forever in Kruskal's find, Infinity printed a
+        # non-standard JSON token and 10**400 raised an OverflowError traceback.
+        net = tmp_path / "net.json"
+        net.write_text('{"parties": [{"id": %s, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0},'
+                       ' {"id": 3, "x": 0, "y": 5}]}' % token)
+        out = tmp_path / "plan.json"
+        assert dispatch(["plan", str(net), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "finite" in captured.err
+        assert not out.exists()
 
     def test_ten_thousand_party_path_converges_quickly(self, capsys, monkeypatch):
         # A convergence check that walks each segment to the root is quadratic here.

@@ -167,6 +167,22 @@ class TestPartyGraph:
         with pytest.raises(ValidationError):
             PartyGraph.build([1, bad], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_id_rejected(self, bad):
+        # NaN != NaN: a NaN id once sent Kruskal's find into an endless loop;
+        # 10**400 overflowed the float sort key with an OverflowError.
+        with pytest.raises(ValidationError, match="finite"):
+            PartyGraph.build([bad, 2, 3], [(2, 3, 1.0)])
+        with pytest.raises(ValidationError, match="finite"):
+            PartyGraph.build([(bad, 0, 0), (2, 1, 0), (3, 0, 5)])
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_id_rejected(self, token):
+        text = ('{"parties": [{"id": %s, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0},'
+                ' {"id": 3, "x": 0, "y": 5}]}' % token)
+        with pytest.raises(ValidationError, match="finite"):
+            PartyGraph.from_json(text)
+
     def test_json_parsing(self):
         text = """
         {"parties": [{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}],

@@ -19,6 +19,7 @@ from twinfield_qka.simulation import (
     SessionConfig,
     _block_events,
     _block_rng,
+    _successes,
     background_click_probability,
     reconcile_pair,
     run_session,
@@ -132,6 +133,38 @@ def two_sample_tail(e1, k1, e2, k2):
         if term <= total * 1e-17:
             break
     return min(total, 1.0)
+
+
+def chi2_tail(x, dof):
+    """P(X >= x) for a chi-square variable with dof degrees of freedom."""
+    h = x / 2.0
+    if dof % 2:
+        total, shape = math.erfc(math.sqrt(h)), 1.5
+        term = math.sqrt(h) * math.exp(-h) / math.gamma(shape)
+    else:
+        total, term, shape = 0.0, math.exp(-h), 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= h / shape
+        shape += 1.0
+    return min(total, 1.0)
+
+
+def geometric_gap_tail(gaps, p):
+    """Chi-square tail of a gap histogram against the geometric law P(G = g) = (1-p)^(g-1) p.
+
+    Bin edges sit at the law's 1/16 quantiles and, further out, where its
+    tail halves, as long as at least 5 gaps are expected past the last edge.
+    """
+    n, log_q = len(gaps), math.log1p(-p)
+    tails = np.concatenate([1.0 - np.arange(1, 16) / 16, 0.5 ** np.arange(5, 64)])
+    edges = np.unique(np.ceil(np.log(tails) / log_q))
+    cdf = -np.expm1(edges * log_q)
+    keep = n * (1.0 - cdf) >= 5.0
+    edges, cdf = edges[keep], cdf[keep]
+    expected = n * np.diff(cdf, prepend=0.0, append=1.0)
+    observed = np.bincount(np.searchsorted(edges, gaps), minlength=len(expected))
+    return chi2_tail(float(np.sum((observed - expected) ** 2 / expected)), len(expected) - 1)
 
 
 def bob_agreements(nodes):
@@ -386,24 +419,72 @@ class TestEventSampling:
                             y0=0.0, dark_count_prob=0.0, seed=9)
         res = run_session(cfg)
         assert res.conclusive_counts["AB"] <= 5
-        # Gaps saturate at the int64 maximum here; summing them must not
-        # overflow into positions that never pass the block.
+        # Gaps overflow to inf here and are capped; summing them must not
+        # give positions that never pass the block.
         rng = CountingRng(_block_rng(9, 0))
         for pos, _, _ in _block_events(rng, BLOCK_SIZE, [(1e-300, 0.0), (5e-324, 0.0)]):
             assert len(pos) == 0
-        assert rng.geometric_calls == 2
+        assert rng.exponential_calls == 2
+
+
+class TestSuccesses:
+    """_successes against the law of n Bernoulli(p) trials."""
+
+    @pytest.mark.parametrize("n, p", [(1000, 0.0), (0, 0.5), (0, 1.0), (0, 0.0)])
+    def test_empty_without_draws(self, n, p):
+        rng = _block_rng(5, 0)
+        out = _successes(rng, n, p)
+        assert out.dtype == np.int64 and len(out) == 0
+        assert np.array_equal(rng.random(8), _block_rng(5, 0).random(8))
+
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_certain_success_is_every_trial(self, n):
+        out = _successes(_block_rng(6, 0), n, 1.0)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.arange(n))
+
+    @pytest.mark.parametrize("p", [1e-300, 5e-324])
+    def test_vanishing_p_has_no_successes(self, p):
+        assert len(_successes(_block_rng(7, 0), BLOCK_SIZE, p)) == 0
+
+    @pytest.mark.parametrize("p", [1e-3, 0.0222, 0.3, 0.5, 0.9])
+    def test_count_and_gaps_follow_bernoulli_trials(self, p):
+        n, blocks = BLOCK_SIZE, 4
+        gaps, count = [], 0
+        for bi in range(blocks):
+            pos = _successes(_block_rng(int(p * 1e4), bi), n, p)
+            count += len(pos)
+            gaps.append(np.diff(pos, prepend=-1))
+        total = n * blocks
+        assert abs(count - total * p) < 5 * math.sqrt(total * p * (1 - p)), (count, total * p)
+        assert geometric_gap_tail(np.concatenate(gaps), p) >= TAIL_5_SIGMA
+
+    def test_errors_are_independent_trials_over_the_events(self):
+        # Heavy background: errors are frequent enough for the gap test to see
+        # any dependence between an event's error flag and its neighbours.
+        config = ORACLE_CASES["heavy background"]
+        laws = [(p, q) for _, p, q in node_laws(config)]
+        for node, (_, q) in enumerate(laws):
+            gaps, errors, events = [], 0, 0
+            for bi in range(4):
+                _, _, err = _block_events(_block_rng(config.seed, bi), BLOCK_SIZE, laws)[node]
+                idx = np.flatnonzero(err)
+                errors, events = errors + len(idx), events + len(err)
+                gaps.append(np.diff(idx, prepend=-1))
+            assert abs(errors - events * q) < 5 * math.sqrt(events * q * (1 - q)), node
+            assert geometric_gap_tail(np.concatenate(gaps), q) >= TAIL_5_SIGMA, node
 
 
 class CountingRng:
-    """A Generator that counts geometric draws and stops a loop that would not end."""
+    """A Generator that counts exponential draws and stops a loop that would not end."""
 
     def __init__(self, rng):
-        self.rng, self.geometric_calls = rng, 0
+        self.rng, self.exponential_calls = rng, 0
 
-    def geometric(self, p, size):
-        self.geometric_calls += 1
-        assert self.geometric_calls < 100, "the gap draws do not pass the block"
-        return self.rng.geometric(p, size)
+    def standard_exponential(self, size):
+        self.exponential_calls += 1
+        assert self.exponential_calls < 100, "the gap draws do not pass the block"
+        return self.rng.standard_exponential(size)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
