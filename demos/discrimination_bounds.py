@@ -47,7 +47,7 @@ else:
     ax.plot(mus, [r.q_closed_triple for r in results], "-.", label="closed form, two nodes")
     ax.plot(
         mus,
-        [compose_error(r.q_helstrom, r.q_helstrom, "node") for r in results],
+        [compose_error(r.q_helstrom, r.q_helstrom) for r in results],
         ":",
         label="trace-norm bound, two nodes",
     )

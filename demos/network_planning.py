@@ -32,7 +32,7 @@ positions = {
     "grove": (41.0, 1.0),
 }
 graph = PartyGraph.build([(name, x, y) for name, (x, y) in positions.items()])
-plan = plan_network(graph, mu_policy=0.2)
+plan = plan_network(graph, mu=0.2)
 
 print("minimum-length backbone")
 print("-----------------------")

@@ -40,8 +40,8 @@ class SweepSpec:
     stop: float
     steps: int
 
-    def grid(self):
-        return np.linspace(self.start, self.stop, self.steps)
+    def grid(self) -> list:
+        return np.linspace(self.start, self.stop, self.steps).tolist()
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -70,15 +70,12 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path=None, fieldnames=None) -> None:
-    """Write rows (list of dicts) as CSV: 17 significant digits, LF endings."""
-    if fieldnames is None:
-        if not rows:
-            raise UsageError("emit_csv needs fieldnames when there are no rows")
-        fieldnames = list(rows[0].keys())
+def emit_csv(rows, path=None) -> None:
+    """Write rows (a non-empty list of dicts) as CSV: 17 significant digits, LF endings."""
+    fieldnames = list(rows[0].keys())
     lines = [",".join(fieldnames)]
     for row in rows:
-        if list(row.keys()) != list(fieldnames):
+        if list(row.keys()) != fieldnames:
             raise ValidationError("rows are not rectangular: field mismatch")
         lines.append(",".join(_fmt_cell(row[k]) for k in fieldnames))
     _write_text("\n".join(lines) + "\n", path)
@@ -117,12 +114,12 @@ def _cmd_discriminate(args) -> int:
     for mu in mus:
         if not 0 <= mu < math.inf:  # also false for NaN
             raise ValidationError(f"--mu must be finite and >= 0, got {mu}")
-        res = discriminate(float(mu))
+        res = discriminate(mu)
         rows.append(
             {
                 "mu": res.mu,
                 "q_helstrom_pair": res.q_helstrom,
-                "q_helstrom_triple": compose_error(res.q_helstrom, res.q_helstrom, "node"),
+                "q_helstrom_triple": compose_error(res.q_helstrom, res.q_helstrom),
                 "q_pair_closed": res.q_closed_pair,
                 "q_triple_closed": res.q_closed_triple,
             }
@@ -174,7 +171,7 @@ def _cmd_keyrate(args) -> int:
                 raise ValidationError("distance sweep must start at >= 0 km")
             for total in sweep.grid():
                 half = total / 2.0
-                rows.append({"L_km": float(total),
+                rows.append({"L_km": total,
                              **_keyrate_row(args.mu, mu2, half, half, args.delta_ec)})
         else:
             if sweep.start <= 0:
@@ -182,7 +179,7 @@ def _cmd_keyrate(args) -> int:
             if args.mu2 is not None:
                 raise UsageError("mu sweeps drive both links; drop --mu2")
             for mu in sweep.grid():
-                rows.append({"mu": float(mu), **_keyrate_row(mu, mu, link1, link2, args.delta_ec)})
+                rows.append({"mu": mu, **_keyrate_row(mu, mu, link1, link2, args.delta_ec)})
     else:
         rows.append({"L_km": link1 + link2, "mu": args.mu,
                      **_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec)})
@@ -194,9 +191,7 @@ def _cmd_simulate(args) -> int:
     arms = _arm_kms(args)
     config = SessionConfig(
         n_pulses=args.pulses,
-        mu_a=args.mu,
-        mu_b=args.mu,
-        mu_c=args.mu,
+        mu=args.mu,
         arm_lengths=arms,
         y0=args.y0,
         dark_count_prob=args.dark,
@@ -207,7 +202,7 @@ def _cmd_simulate(args) -> int:
     doc = {
         "config": {
             "n_pulses": config.n_pulses,
-            "mu": args.mu,
+            "mu": config.mu,
             "arm_lengths_km": list(arms),
             "y0": config.y0,
             "dark_count_prob": config.dark_count_prob,
@@ -259,7 +254,7 @@ def _cmd_plan(args) -> int:
         raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
     if args.key_length < 1:
         raise UsageError("--key-length must be >= 1")
-    plan = plan_network(graph, mu_policy=args.mu, delta_ec=args.delta_ec)
+    plan = plan_network(graph, mu=args.mu, delta_ec=args.delta_ec)
 
     rng = np.random.default_rng(args.seed)
     keys = [rng.integers(0, 2, args.key_length, dtype=np.uint8) for _ in plan.segments]
@@ -310,15 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, default):
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=default)
 
     p = sub.add_parser("discriminate", help="node-level discrimination error vs intensity")
     p.add_argument("--mu", type=float, default=0.2)
     p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
-    add_common(p)
-    p.set_defaults(default_format="csv")
+    add_common(p, "csv")
 
     p = sub.add_parser("keyrate", help="asymptotic secret key rate")
     p.add_argument("--mu", type=float, default=0.2)
@@ -330,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-ec", type=float, default=0.0,
                    help="error-correction leakage per conclusive round (bits)")
     p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
-    add_common(p)
-    p.set_defaults(default_format="csv")
+    add_common(p, "csv")
 
     p = sub.add_parser("simulate", help="Monte Carlo session")
     p.add_argument("--pulses", type=int, default=100000)
@@ -343,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dark", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ec-efficiency", type=float, default=0.0)
-    add_common(p)
-    p.set_defaults(default_format="json")
+    add_common(p, "json")
 
     p = sub.add_parser("plan", help="plan an N-party network and dry-run reconciliation")
     p.add_argument("network", help="network JSON file, or - for stdin")
@@ -353,10 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--key-length", type=int, default=256)
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.set_defaults(default_format=None)
 
-    p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.set_defaults(default_format=None)
+    sub.add_parser("selftest", help="run the built-in invariant suite")
 
     return parser
 
@@ -377,8 +367,6 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 2
-    if getattr(args, "format", None) is None and args.default_format is not None:
-        args.format = args.default_format
     try:
         return globals()["_cmd_" + args.command](args)
     except UsageError as exc:

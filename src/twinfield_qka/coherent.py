@@ -23,9 +23,6 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import outer
 
-#: The two legal phase signs (phase 0 -> +1, phase pi -> -1).
-SIGNS = (+1, -1)
-
 
 def sign_value(s) -> int:
     """Normalize a phase-sign argument to +1 or -1 (accepts '+'/'-' too)."""

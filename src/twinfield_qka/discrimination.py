@@ -23,8 +23,6 @@ from .coherent import correlated_mixture
 from .errors import ValidationError
 from .linalg import check_density, trace_norm
 
-COMPOSE_MODES = ("node", "xor")
-
 
 @dataclass(frozen=True)
 class DiscriminationResult:
@@ -75,22 +73,12 @@ def qmin_triple_closed_expanded(mu: float) -> float:
     return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
 
 
-def compose_error(q1: float, q2: float, mode: str) -> float:
-    """Combine two error probabilities.
-
-    mode 'node': probability that at least one of two independent nodes
-    errs, 1 - (1-q1)(1-q2).  mode 'xor': probability that a parity built
-    from two noisy bits is wrong, q1(1-q2) + q2(1-q1).  The caller must
-    pick the mode explicitly; there is no default.
-    """
+def compose_error(q1: float, q2: float) -> float:
+    """Probability that at least one of two independent nodes errs, 1 - (1-q1)(1-q2)."""
     for q in (q1, q2):
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"error probability must lie in [0, 1], got {q!r}")
-    if mode == "node":
-        return 1.0 - (1.0 - q1) * (1.0 - q2)
-    if mode == "xor":
-        return q1 * (1.0 - q2) + q2 * (1.0 - q1)
-    raise ValidationError(f"compose mode must be one of {COMPOSE_MODES}, got {mode!r}")
+    return 1.0 - (1.0 - q1) * (1.0 - q2)
 
 
 def discriminate(mu: float) -> DiscriminationResult:

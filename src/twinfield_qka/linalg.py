@@ -19,26 +19,26 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 ENTROPY_EIGENVALUE_CLAMP = 1e-12
 
 
-def check_hermitian(op, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(op) -> np.ndarray:
     """Return op as a complex array, raising if any entry pair breaks hermiticity."""
     h = np.asarray(op, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"operator must be a square matrix, got shape {h.shape}")
     dev = np.abs(h - h.conj().T)
-    if dev.max() > tol:
+    if dev.max() > HERMITICITY_TOL:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
             f"matrix is not hermitian: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {dev[i, j]:.3e} (> {tol:.1e})"
+            f"differ by {dev[i, j]:.3e} (> {HERMITICITY_TOL:.1e})"
         )
     return h
 
 
-def check_density(rho, trace_tol: float = DENSITY_TRACE_TOL) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate the density-operator invariants: hermitian, trace 1, PSD."""
     h = check_hermitian(rho)
     tr = np.trace(h).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density operator must have trace 1, got {tr!r}")
     w = np.linalg.eigvalsh(h)
     if w.min() < PSD_EIGENVALUE_FLOOR:

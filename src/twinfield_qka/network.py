@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import PlanningError, UsageError, ValidationError
-from .keyrate import link_rate, optimize_intensity, transmittance_from_distance
+from .keyrate import link_rate, transmittance_from_distance
 
 
 def _id_key(party):
@@ -103,7 +103,7 @@ class PartyGraph:
         Euclidean distance, which requires coordinates for everyone.
         """
         ids = []
-        seen = set()  # for O(1) duplicate and endpoint checks
+        listed = {}  # each id to itself, so an endpoint equal to it (True for 1) resolves to it
         coords = {}
         for p in parties:
             if isinstance(p, (tuple, list)):
@@ -119,9 +119,9 @@ class PartyGraph:
                 coords[pid] = (float(x), float(y))
             else:
                 pid = _scalar_id(p)
-            if pid in seen:
+            if pid in listed:
                 raise ValidationError(f"duplicate party id {pid!r}")
-            seen.add(pid)
+            listed[pid] = pid
             ids.append(pid)
         if len(ids) < 2:
             raise ValidationError("a network needs at least two parties")
@@ -141,8 +141,10 @@ class PartyGraph:
                 a, b, km = edge
             except (TypeError, ValueError):
                 raise ValidationError(f"edge must be (a, b, km), got {edge!r}") from None
-            if a not in seen or b not in seen:
-                raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party")
+            try:
+                a, b = listed[a], listed[b]
+            except (KeyError, TypeError):  # TypeError: a list or an object
+                raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party") from None
             if a == b:
                 raise ValidationError(f"self-loop on party {a!r}")
             if type(km) is not float and (
@@ -159,7 +161,10 @@ class PartyGraph:
     @classmethod
     def from_json(cls, text: str) -> "PartyGraph":
         """Parse {"parties": [{"id", "x"?, "y"?}, ...], "edges"?: [{"a","b","km"}]}."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValidationError("network document is nested too deeply") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("parties"), list):
             raise ValidationError('network document needs a "parties" list')
         parties = []
@@ -193,17 +198,10 @@ def minimum_network(graph: PartyGraph) -> list:
     deterministic.  Raises PlanningError listing the components when the
     graph is disconnected.
     """
-    # One key per party.  An endpoint equal to its party but of another type
-    # (True for party 1) has a key of its own, so those few are recomputed.
-    key = {p: (_id_key(p), type(p)) for p in graph.parties}
+    key = {p: _id_key(p) for p in graph.parties}  # edge endpoints are listed ids
     ranked = []
     for a, b, km in graph.edges:
-        ka, type_a = key[a]
-        kb, type_b = key[b]
-        if type(a) is not type_a:
-            ka = _id_key(a)
-        if type(b) is not type_b:
-            kb = _id_key(b)
+        ka, kb = key[a], key[b]
         if kb < ka:  # only a strictly smaller key swaps: equal keys keep (a, b)
             ranked.append((km, kb, ka, b, a))
         else:
@@ -313,24 +311,13 @@ def segment_tree(tree_edges) -> list:
     return out
 
 
-def _link_mu(eta: float, mu_policy) -> float:
-    if isinstance(mu_policy, (int, float)):
-        return float(mu_policy)
-    mu_star, _ = optimize_intensity(eta, mu_policy)
-    return mu_star
-
-
-def segment_rate(segment: Segment, mu_policy, delta_ec: float = 0.0) -> float:
-    """Bits per pulse for one segment under the loss-only analysis: its slowest link.
-
-    mu_policy is either a fixed intensity used on every link or a grid of
-    candidate intensities optimized per link.
-    """
+def segment_rate(segment: Segment, mu: float, delta_ec: float = 0.0) -> float:
+    """Bits per pulse for one segment under the loss-only analysis: its slowest link."""
     etas = [transmittance_from_distance(d) for d in segment.arm_distances]
-    return min(link_rate(_link_mu(eta, mu_policy), eta, delta_ec)[3] for eta in etas)
+    return min(link_rate(mu, eta, delta_ec)[3] for eta in etas)
 
 
-def plan_rates(segments, mu_policy=0.2, delta_ec: float = 0.0, tree_edges=()) -> NetworkPlan:
+def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) -> NetworkPlan:
     """Predict per-segment and network rates; the network runs at the min.
 
     The bottleneck distance is the longest link of the rate-limiting
@@ -339,7 +326,7 @@ def plan_rates(segments, mu_policy=0.2, delta_ec: float = 0.0, tree_edges=()) ->
     segments = list(segments)
     if not segments:
         raise UsageError("plan_rates needs at least one segment")
-    rates = [segment_rate(s, mu_policy, delta_ec) for s in segments]
+    rates = [segment_rate(s, mu, delta_ec) for s in segments]
     worst = min(range(len(segments)), key=lambda i: rates[i])
     membership = {}
     for seg in segments:
@@ -357,11 +344,11 @@ def plan_rates(segments, mu_policy=0.2, delta_ec: float = 0.0, tree_edges=()) ->
     )
 
 
-def plan_network(graph: PartyGraph, mu_policy=0.2, delta_ec: float = 0.0) -> NetworkPlan:
+def plan_network(graph: PartyGraph, mu: float = 0.2, delta_ec: float = 0.0) -> NetworkPlan:
     """Full pipeline: spanning tree, segmentation, per-segment rates."""
     tree = minimum_network(graph)
     segments = segment_tree(tree)
-    return plan_rates(segments, mu_policy, delta_ec, tree_edges=tree)
+    return plan_rates(segments, mu, delta_ec, tree_edges=tree)
 
 
 # --- key reconciliation across segments -------------------------------------

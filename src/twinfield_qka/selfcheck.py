@@ -86,8 +86,7 @@ def check_entropy_closed_form():
 
 def check_noiseless_session():
     config = simulation.SessionConfig(
-        n_pulses=20000, mu_a=0.2, mu_b=0.2, mu_c=0.2,
-        y0=0.0, dark_count_prob=0.0, seed=7,
+        n_pulses=20000, mu=0.2, y0=0.0, dark_count_prob=0.0, seed=7,
     )
     result = simulation.run_session(config)
     p = keyrate.sift_probability(0.2, 1.0)
@@ -106,7 +105,7 @@ def check_network_roundtrip():
         edges=[(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
                (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)],
     )
-    plan = network.plan_network(graph, mu_policy=0.2)
+    plan = network.plan_network(graph, mu=0.2)
     rng = np.random.default_rng(11)
     keys = [rng.integers(0, 2, 64, dtype=np.uint8) for _ in plan.segments]
     global_key, announcements = network.reconcile_network(keys, plan)

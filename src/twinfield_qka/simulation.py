@@ -42,6 +42,8 @@ from .linalg import binary_entropy
 
 #: Pulses per random block.  Fixed: changing it changes every session stream.
 BLOCK_SIZE = 1 << 20
+#: Pulses per second, for the key rate in bits per second.
+REPETITION_RATE = 1e9
 
 
 @dataclass(frozen=True)
@@ -49,15 +51,13 @@ class SessionConfig:
     """Everything needed to reproduce one simulated session exactly."""
 
     n_pulses: int
-    mu_a: float = 0.2
-    mu_b: float = 0.2
-    mu_c: float = 0.2
+    #: Intensity of all three sources.
+    mu: float = 0.2
     #: Fiber lengths (l_A, l_B, l_B', l_C) in km; node AB joins the first
     #: two arms, node BC the last two.
     arm_lengths: tuple = (0.0, 0.0, 0.0, 0.0)
     y0: float = 2.45e-6
     dark_count_prob: float = 1e-6
-    repetition_rate: float = 1e9
     seed: int = 0
     ec_efficiency: float = 0.0
 
@@ -65,7 +65,7 @@ class SessionConfig:
         object.__setattr__(self, "arm_lengths", tuple(self.arm_lengths))
         if self.n_pulses < 1:
             raise ValidationError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
-        for name in ("mu_a", "mu_b", "mu_c", "ec_efficiency"):
+        for name in ("mu", "ec_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:  # also false for NaN
                 raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
@@ -77,19 +77,16 @@ class SessionConfig:
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1), got {p!r}")
-        if not 0.0 < self.repetition_rate < math.inf:
-            raise ValidationError("repetition_rate must be finite and > 0")
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
 
     @classmethod
     def equal_arms(cls, n_pulses: int, mu: float, total_km: float, **kwargs) -> "SessionConfig":
-        """Config with all sources at mu and the total fiber split evenly over 4 arms."""
+        """Config with the total fiber split evenly over the 4 arms."""
         if total_km < 0:
             raise ValidationError(f"total_km must be >= 0, got {total_km!r}")
         arm = total_km / 4.0
-        return cls(n_pulses=n_pulses, mu_a=mu, mu_b=mu, mu_c=mu,
-                   arm_lengths=(arm, arm, arm, arm), **kwargs)
+        return cls(n_pulses=n_pulses, mu=mu, arm_lengths=(arm, arm, arm, arm), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     The per-node arrival intensity is set by calibration: the party with
     the stronger arm attenuates down to its partner's arrival intensity
     (variable attenuators only remove light), so for link AB the common
-    arrival is min(mu_a * t(l_A), mu_b * t(l_B)).
+    arrival is min(mu * t(l_A), mu * t(l_B)).
 
     Only conclusive rounds are drawn, block by block: Bob's sifted bit is
     his phase bit, the flipper's (Alice at AB, Charlie at BC) that bit XOR
@@ -186,8 +183,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     p_bg = background_click_probability(config.y0, config.dark_count_prob)
     # Per node, AB then BC: common arrival intensity and link transmittance.
     nodes = (
-        (min(config.mu_a * t_a, config.mu_b * t_b), t_a * t_b),
-        (min(config.mu_b * t_bp, config.mu_c * t_c), t_bp * t_c),
+        (min(config.mu * t_a, config.mu * t_b), t_a * t_b),
+        (min(config.mu * t_bp, config.mu * t_c), t_bp * t_c),
     )
     laws = []
     for m, _ in nodes:
@@ -224,7 +221,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         sifted_rate=sifted_rate,
         chi=chi,
         skr_per_pulse=skr,
-        skr_bps=skr * config.repetition_rate,
+        skr_bps=skr * REPETITION_RATE,
     )
 
 

@@ -206,7 +206,7 @@ def test_criterion_7_monte_carlo_consistency():
     sigma = math.sqrt(p * (1.0 - p) / n)
     for seed in range(20):
         cfg = SessionConfig(
-            n_pulses=n, mu_a=0.2, mu_b=0.2, mu_c=0.2,
+            n_pulses=n, mu=0.2,
             y0=0.0, dark_count_prob=0.0, seed=seed,
         )
         res = run_session(cfg)
@@ -298,7 +298,7 @@ def test_criterion_9_protocol_round_trip():
     for i in range(100):
         n = int(rng.integers(2, 10))
         edges = random_tree_edges(n, rng)
-        plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
         keys = [rng.integers(0, 2, 48, dtype=np.uint8) for _ in plan.segments]
         global_key, announcements = reconcile_network(keys, plan)
         for j, key in enumerate(keys):
@@ -319,7 +319,7 @@ def test_criterion_10_network_planning():
         [(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
          (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)],
     )
-    plan = plan_network(graph, mu_policy=0.2)
+    plan = plan_network(graph, mu=0.2)
     members = sorted(tuple(sorted(s.members)) for s in plan.segments)
     if members != [(1, 2, 3), (3, 4, 5), (5, 6, 7)]:
         problems.append(f"unexpected segments {members}")
@@ -336,11 +336,11 @@ def test_criterion_10_network_planning():
 
     base = [(1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0), (4, 5, 80.0), (5, 6, 10.0), (6, 7, 10.0)]
     stretched = [(1, 2, 19.0)] + base[1:]
-    rate0 = plan_rates(segment_tree(base), mu_policy=0.2).network_rate
-    rate1 = plan_rates(segment_tree(stretched), mu_policy=0.2).network_rate
+    rate0 = plan_rates(segment_tree(base), mu=0.2).network_rate
+    rate1 = plan_rates(segment_tree(stretched), mu=0.2).network_rate
     if rate0 != rate1:
         problems.append("stretching a non-bottleneck edge changed the network rate")
-    bottleneck = plan_rates(segment_tree(base), mu_policy=0.2).bottleneck_distance
+    bottleneck = plan_rates(segment_tree(base), mu=0.2).bottleneck_distance
     if bottleneck != 80.0:
         problems.append(f"bottleneck distance {bottleneck} != 80.0")
 

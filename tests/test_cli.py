@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import io
 import json
 import time
@@ -32,6 +33,21 @@ FIG_SEVEN_JSON = json.dumps(
             {"a": 5, "b": 6, "km": 8.0},
             {"a": 5, "b": 7, "km": 10.0},
         ],
+    }
+)
+
+
+#: The seven-party map of demos/network_planning.py.
+DEMO_MAP_JSON = json.dumps(
+    {
+        "parties": [
+            {"id": name, "x": x, "y": y}
+            for name, x, y in [
+                ("amber", 0.0, 4.0), ("birch", 8.0, 0.0), ("cedar", 6.0, 9.0),
+                ("dune", 21.0, 11.0), ("elm", 34.0, 8.0), ("fern", 43.0, 15.0),
+                ("grove", 41.0, 1.0),
+            ]
+        ]
     }
 )
 
@@ -218,6 +234,28 @@ class TestPlanCommand:
         assert dispatch(["plan", str(net)]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("net, digest", [
+        (FIG_SEVEN_JSON, "639ceb3a087ceac19a4fed639848ecdb8a2f562915490203cc814e6cb65f15e8"),
+        (DEMO_MAP_JSON, "dde831670bd5fbb46a66509a8fcb5480a7f22ecf8d63aa677fd63c86aa98f165"),
+    ], ids=["fig-seven", "demo-map"])
+    def test_output_pinned(self, net, digest, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(net))
+        assert dispatch(["plan", "-", "--seed", "3"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_edge_endpoints_print_as_listed_ids(self, capsys, monkeypatch):
+        # true == 1 and 2.0 == 2: the edges name parties 1 and 2 by other types.
+        net = {"parties": [1, 2, 3], "edges": [{"a": True, "b": 2, "km": 1.0},
+                                               {"a": 2.0, "b": 3, "km": 2.0}]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
+        assert dispatch(["plan", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        (segment,) = doc["segments"]
+        assert sorted(segment["members"]) == [1, 2, 3]
+        named = [*segment["members"], segment["center"], *doc["intra_announcers"],
+                 *(p for a, b, _ in doc["tree_edges"] for p in (a, b))]
+        assert {type(p) for p in named} == {int}
+
     def test_missing_file(self, capsys):
         assert dispatch(["plan", "/nonexistent/net.json"]) == 1
         capsys.readouterr()
@@ -258,6 +296,7 @@ class TestPlanCommand:
             {"a": 1, "b": 2, "km": float("nan")},
             {"a": 1, "b": 2, "km": float("inf")},
             [1, 2, 5.0],
+            {"a": [1], "b": 2, "km": 5.0},
         ],
     )
     def test_malformed_edge_is_a_clean_error(self, edge, capsys, monkeypatch):
@@ -320,7 +359,7 @@ class TestPlanCommand:
         verdicts = set()
         for _ in range(150):
             edges = random_tree_edges(int(rng.integers(2, 40)), rng)
-            plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+            plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
             keys = [rng.integers(0, 2, 24, dtype=np.uint8) for _ in plan.segments]
             global_key, announcements = reconcile_network(keys, plan)
             if rng.random() < 0.5:  # a party holding a corrupted key must not converge
@@ -383,12 +422,19 @@ class TestOutOfRangeInputs:
         ["discriminate", "--mu", "1e300"],
         ["discriminate", "--sweep", "mu:0:1000:3"],
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
+        ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
+        ["plan", "DEEP_PARTIES"],
     ])
     def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
-        net = tmp_path / "net.json"
-        net.write_text(FIG_SEVEN_JSON)
+        networks = {
+            "NET": FIG_SEVEN_JSON,
+            "DEEP_ARRAY": "[" * 100_000,
+            "DEEP_PARTIES": '{"parties": ' + "[" * 5000 + "]" * 5000 + "}",
+        }
+        for name, text in networks.items():
+            (tmp_path / name).write_text(text)
         out = tmp_path / "out"
-        argv = [str(net) if a == "NET" else a for a in argv]
+        argv = [str(tmp_path / a) if a in networks else a for a in argv]
         assert dispatch([*argv, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -469,6 +515,11 @@ class TestSweepParsing:
         assert spec.variable == "mu"
         assert len(spec.grid()) == 10
 
+    def test_grid_values_are_python_floats(self, capsys):
+        assert [type(x) for x in parse_sweep("mu:0.1:1.0:4").grid()] == [float] * 4
+        assert dispatch(["keyrate", "--sweep", "distance_km:0:1e300:3"]) == 1
+        assert capsys.readouterr().err == "error: transmittance must lie in (0, 1], got 0.0\n"
+
     def test_bad_variable(self):
         with pytest.raises(UsageError):
             parse_sweep("banana:0:1:5")
@@ -499,11 +550,6 @@ class TestSweepParsing:
 
 
 class TestEmitCsv:
-    def test_header_only_when_empty(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        emit_csv([], path=str(out), fieldnames=["a", "b"])
-        assert out.read_text() == "a,b\n"
-
     def test_three_rows_four_lines(self, tmp_path):
         out = tmp_path / "r.csv"
         emit_csv([{"x": i} for i in range(3)], path=str(out))

@@ -93,27 +93,19 @@ class TestClosedForms:
 
 class TestComposeError:
     def test_node_mode(self):
-        assert compose_error(0.5, 0.5, "node") == pytest.approx(0.75)
-
-    def test_xor_mode_identity(self):
-        for q in (0.0, 0.2, 0.5, 0.9):
-            assert compose_error(q, 0.0, "xor") == pytest.approx(q)
+        assert compose_error(0.5, 0.5) == pytest.approx(0.75)
 
     def test_node_mode_reproduces_triple(self):
         q = qmin_pair_closed(0.2)
-        assert compose_error(q, q, "node") == pytest.approx(
+        assert compose_error(q, q) == pytest.approx(
             qmin_triple_closed(0.2), abs=1e-15
         )
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            compose_error(1.2, 0.1, "node")
+            compose_error(1.2, 0.1)
         with pytest.raises(ValidationError):
-            compose_error(0.1, -0.2, "xor")
-
-    def test_mode_must_be_explicit(self):
-        with pytest.raises(ValidationError):
-            compose_error(0.1, 0.1, "average")
+            compose_error(0.1, -0.2)
 
 
 class TestDiscriminate:

@@ -447,18 +447,18 @@ class TestPlanRates:
     def test_identical_segments_share_the_rate(self):
         edges = [(i, i + 1, 12.0) for i in range(1, 8)]  # path of 8 -> even N
         segments = segment_tree(edges)
-        plan = plan_rates(segments, mu_policy=0.2, tree_edges=edges)
+        plan = plan_rates(segments, mu=0.2, tree_edges=edges)
         assert plan.network_rate == min(plan.per_segment_rate)
 
     def test_uniform_path_rate_equals_single_segment(self):
         edges = [(i, i + 1, 15.0) for i in range(1, 7)]
-        plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
-        single = plan_rates(segment_tree([(1, 2, 15.0), (2, 3, 15.0)]), mu_policy=0.2)
+        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
+        single = plan_rates(segment_tree([(1, 2, 15.0), (2, 3, 15.0)]), mu=0.2)
         assert plan.network_rate == pytest.approx(single.network_rate, abs=1e-15)
 
     def test_stretched_edge_becomes_bottleneck(self):
         edges = [(1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0), (4, 5, 60.0), (5, 6, 10.0), (6, 7, 10.0)]
-        plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
         assert plan.bottleneck_distance == 60.0
         worst = plan.per_segment_rate.index(plan.network_rate)
         assert 60.0 in plan.segments[worst].arm_distances
@@ -466,8 +466,8 @@ class TestPlanRates:
     def test_non_bottleneck_stretch_leaves_rate_unchanged(self):
         base = [(1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0), (4, 5, 80.0), (5, 6, 10.0), (6, 7, 10.0)]
         stretched = [(1, 2, 18.0)] + base[1:]
-        rate0 = plan_rates(segment_tree(base), mu_policy=0.2).network_rate
-        rate1 = plan_rates(segment_tree(stretched), mu_policy=0.2).network_rate
+        rate0 = plan_rates(segment_tree(base), mu=0.2).network_rate
+        rate1 = plan_rates(segment_tree(stretched), mu=0.2).network_rate
         assert rate0 == pytest.approx(rate1, abs=1e-15)
 
     def test_relabeling_invariance(self):
@@ -475,8 +475,8 @@ class TestPlanRates:
         edges = random_tree_edges(7, rng)
         perm = {i: c for i, c in enumerate("gfedcba")}
         relabeled = [(perm[a], perm[b], km) for a, b, km in edges]
-        rate0 = plan_rates(segment_tree(edges), mu_policy=0.2).network_rate
-        rate1 = plan_rates(segment_tree(relabeled), mu_policy=0.2).network_rate
+        rate0 = plan_rates(segment_tree(edges), mu=0.2).network_rate
+        rate1 = plan_rates(segment_tree(relabeled), mu=0.2).network_rate
         assert rate0 == pytest.approx(rate1, abs=1e-15)
 
     def test_diameter_growth_does_not_hurt(self):
@@ -485,18 +485,12 @@ class TestPlanRates:
         rates = []
         for n in (3, 5, 7, 9):
             edges = [(i, i + 1, 20.0) for i in range(1, n)]
-            rates.append(plan_rates(segment_tree(edges), mu_policy=0.2).network_rate)
+            rates.append(plan_rates(segment_tree(edges), mu=0.2).network_rate)
         assert max(rates) - min(rates) < 1e-15
-
-    def test_grid_mu_policy(self):
-        edges = [(1, 2, 150.0), (2, 3, 150.0)]
-        fixed = plan_rates(segment_tree(edges), mu_policy=0.5)
-        tuned = plan_rates(segment_tree(edges), mu_policy=[0.1, 0.2, 0.5])
-        assert tuned.network_rate >= fixed.network_rate
 
     def test_empty_segments_rejected(self):
         with pytest.raises(UsageError):
-            plan_rates([], mu_policy=0.2)
+            plan_rates([], mu=0.2)
 
     def test_segment_rate_is_its_slowest_link_rate(self):
         pair = Segment(members=(1, 2), center=1, arm_distances=(37.5,))
@@ -510,7 +504,7 @@ class TestPlanRates:
     @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
     def test_non_finite_intensity_rejected(self, mu):
         with pytest.raises(ValidationError):
-            plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), mu_policy=mu)
+            plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), mu=mu)
 
 
 class TestReconcileNetwork:
@@ -564,7 +558,7 @@ class TestReconcileNetwork:
             n = int(rng.integers(2, 10))
             edges = random_tree_edges(n, rng)
             segments = segment_tree(edges)
-            plan = plan_rates(segments, mu_policy=0.2, tree_edges=edges)
+            plan = plan_rates(segments, mu=0.2, tree_edges=edges)
             keys = [rng.integers(0, 2, 32, dtype=np.uint8) for _ in segments]
             global_key, announcements = reconcile_network(keys, plan)
             for i, key in enumerate(keys):
@@ -579,13 +573,13 @@ class TestReconcileNetwork:
         for _ in range(200):
             n = int(rng.integers(2, 80))
             edges = random_tree_edges(n, rng)
-            plan = plan_rates(segment_tree(edges), mu_policy=0.2, tree_edges=edges)
+            plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
             assert _segment_adjacency_tree(plan) == all_pairs_adjacency_tree(plan)
 
 
 class TestPlanNetwork:
     def test_full_pipeline_on_caterpillar(self):
-        plan = plan_network(caterpillar_graph(), mu_policy=0.2)
+        plan = plan_network(caterpillar_graph(), mu=0.2)
         assert len(plan.segments) == 3
         assert sorted(plan.intra_announcers) == [3, 4, 5]
         assert plan.inter_announcers == (3, 5)
@@ -599,7 +593,7 @@ class TestPlanNetwork:
             edges = random_tree_edges(n, rng)
             ids = sorted({v for a, b, _ in edges for v in (a, b)})
             g = PartyGraph.build(ids, edges)
-            plan = plan_network(g, mu_policy=0.2)
+            plan = plan_network(g, mu=0.2)
             covered = set()
             for seg in plan.segments:
                 covered.update(seg.members)

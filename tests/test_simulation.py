@@ -49,8 +49,8 @@ def node_laws(config):
     t_a, t_b, t_bp, t_c = (transmittance_from_distance(l) for l in config.arm_lengths)
     p_bg = background_click_probability(config.y0, config.dark_count_prob)
     laws = []
-    for m in (min(config.mu_a * t_a, config.mu_b * t_b),
-              min(config.mu_b * t_bp, config.mu_c * t_c)):
+    for m in (min(config.mu * t_a, config.mu * t_b),
+              min(config.mu * t_bp, config.mu * t_c)):
         p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
         p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
         laws.append((m, p_conc, p_bg * (1.0 - p_sig) / p_conc))
@@ -248,7 +248,7 @@ class TestRunSession:
         assert res.qber_ab == np.mean(res.sifted_ab[0] != res.sifted_ab[1])
 
     def test_zero_intensity_yields_empty_keys(self):
-        cfg = SessionConfig(n_pulses=10_000, mu_a=0.0, mu_b=0.0, mu_c=0.0,
+        cfg = SessionConfig(n_pulses=10_000, mu=0.0,
                             y0=0.0, dark_count_prob=0.0, seed=3)
         res = run_session(cfg)
         assert len(res.sifted_ab[0]) == 0
@@ -281,7 +281,7 @@ class TestRunSession:
         # exactly-one-click terms and nothing else.
         n = 300_000
         p_bg = 0.3
-        cfg = SessionConfig(n_pulses=n, mu_a=0.2, mu_b=0.2, mu_c=0.2,
+        cfg = SessionConfig(n_pulses=n, mu=0.2,
                             y0=p_bg, dark_count_prob=0.0, seed=6)
         res = run_session(cfg)
         p_sig = 1 - (1 - p_bg) * math.exp(-0.4)
@@ -291,7 +291,7 @@ class TestRunSession:
 
     def test_unequal_arms_calibrate_to_weaker(self):
         cfg = SessionConfig(
-            n_pulses=200_000, mu_a=0.2, mu_b=0.2, mu_c=0.2,
+            n_pulses=200_000, mu=0.2,
             arm_lengths=(30.0, 10.0, 0.0, 0.0),
             y0=0.0, dark_count_prob=0.0, seed=2,
         )
@@ -314,8 +314,7 @@ class TestRunSession:
         assert res.sifted_rate == res.conclusive_counts[weak] / cfg.n_pulses
         assert res.conclusive_counts[weak] == min(res.conclusive_counts.values())
 
-    @pytest.mark.parametrize("field", ["mu_a", "mu_b", "mu_c", "ec_efficiency",
-                                       "repetition_rate", "y0", "dark_count_prob",
+    @pytest.mark.parametrize("field", ["mu", "ec_efficiency", "y0", "dark_count_prob",
                                        "arm_lengths"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_rejected(self, field, value):
@@ -328,7 +327,7 @@ class TestRunSession:
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=0)
         with pytest.raises(ValidationError):
-            SessionConfig(n_pulses=10, mu_a=-0.1)
+            SessionConfig(n_pulses=10, mu=-0.1)
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=10, y0=1.5)
         with pytest.raises(ValidationError):
@@ -406,7 +405,7 @@ class TestEventSampling:
     def test_always_conclusive_has_no_gaps(self):
         # Bright pulses and no background: every round is conclusive at both nodes.
         n = 5000
-        res = run_session(SessionConfig(n_pulses=n, mu_a=1e3, mu_b=1e3, mu_c=1e3,
+        res = run_session(SessionConfig(n_pulses=n, mu=1e3,
                                         y0=0.0, dark_count_prob=0.0, seed=8))
         assert res.conclusive_counts == {"AB": n, "BC": n}
         assert np.array_equal(res.sifted_ab[1], res.sifted_bc[0])
@@ -415,7 +414,7 @@ class TestEventSampling:
 
     def test_rare_events_terminate(self):
         # m = 5e-10 per arm gives P(conclusive) close to 1e-9.
-        cfg = SessionConfig(n_pulses=(1 << 20) + 5, mu_a=5e-10, mu_b=5e-10, mu_c=5e-10,
+        cfg = SessionConfig(n_pulses=(1 << 20) + 5, mu=5e-10,
                             y0=0.0, dark_count_prob=0.0, seed=9)
         res = run_session(cfg)
         assert res.conclusive_counts["AB"] <= 5
