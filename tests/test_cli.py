@@ -385,6 +385,28 @@ class TestPlanCommand:
         assert "Traceback" not in captured.err
 
 
+class TestOutputPinned:
+    """Stdout of keyrate, discriminate and simulate, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["keyrate", "--sweep", "distance_km:0:400:81"],
+         "ad93f092bf2a78535a5d77a3bba8832ec0288857a7e42926e8f120a596cd4252"),
+        (["keyrate", "--mu", "0.3", "--mu2", "0.1", "--arm-km", "10", "20", "30", "40",
+          "--delta-ec", "0.05"],
+         "b836274a85fb77d04f2d3c81e63e1601a5b0c970b4ad62f9553abd8513665f18"),
+        (["keyrate", "--sweep", "mu:0.01:1.5:50", "--arm-km", "5", "15", "25", "35"],
+         "d2bfb4f28aef890933ee03804ee822972c4518550764ae25b683d5c36cdebe78"),
+        (["discriminate", "--sweep", "mu:0.01:1.5:150"],
+         "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
+        (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
+         "4dfdac935143ad791d2f070ef4cf2fa62700996c41257c8a786e35bbdb946f8a"),
+    ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
+            "simulate-json"])
+    def test_stdout(self, argv, digest, capsys):
+        assert dispatch(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("argv", [
         ["keyrate", "--mu", "nan"],
