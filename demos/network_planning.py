@@ -8,10 +8,15 @@ protocol, then shared parties chain the segment keys together with public
 XOR announcements.
 
 The punchline is the last block: the group rate is set by the longest
-nearest-neighbor hop, not by how far apart the extreme parties are.
+hop in the network, not by how far apart the extreme parties are.  Moving
+three parties 200 km away stretches one hop and the rate collapses; relay
+parties that keep every hop short restore it exactly.
 
 Run:  python3 demos/network_planning.py
 """
+
+import math
+from itertools import combinations
 
 import numpy as np
 
@@ -61,8 +66,34 @@ everyone_agrees = all(
 print(f"\n{len(announcements)} public XOR announcements chain the segments")
 print(f"all parties derive the same 128-bit group key: {everyone_agrees}")
 
-# Stretch the map: move the far parties twice as far out while keeping every
-# nearest-neighbor hop the same -> the network rate does not move.
+
+def plan_layout(layout):
+    return plan_network(PartyGraph.build([(name, x, y) for name, (x, y) in layout.items()]), mu=0.2)
+
+
+def report(title, layout, layout_plan):
+    span = max(math.dist(a, b) for a, b in combinations(layout.values(), 2))
+    print(f"\n{title}")
+    print(f"  {len(layout)} parties spanning {span:.1f} km, longest hop "
+          f"{layout_plan.bottleneck_distance:.1f} km, "
+          f"network rate {layout_plan.network_rate:.3e} bits/pulse")
+
+
+report("original layout", positions, plan)
+
+# Move the eastern cluster 200 km east: the dune--elm hop becomes ~213 km
+# and that one hop now sets the whole group's rate.
 far = {k: (x + 200.0, y) if x > 30 else (x, y) for k, (x, y) in positions.items()}
-print("\n(moving the eastern cluster 200 km east changes the diameter,")
-print(" but with unchanged hops the rate is set by the bottleneck hop alone)")
+report("eastern cluster moved 200 km east", far, plan_layout(far))
+
+# Relay parties at most 15 km apart on the line from dune to the moved elm
+# keep every hop below the original 15.1 km bottleneck, so the group spans
+# far more ground at exactly the original rate.
+(x0, y0), (x1, y1) = far["dune"], far["elm"]
+hops = math.ceil(math.dist(far["dune"], far["elm"]) / 15.0)
+relayed = {**far, **{
+    f"relay{i}": (x0 + (x1 - x0) * i / hops, y0 + (y1 - y0) * i / hops) for i in range(1, hops)
+}}
+relayed_plan = plan_layout(relayed)
+assert relayed_plan.network_rate == plan.network_rate
+report(f"... with {hops - 1} relay parties between dune and elm", relayed, relayed_plan)

@@ -14,7 +14,7 @@ provides:
 * a deterministic CLI mirroring all of the above (`cli`).
 """
 
-from .coherent import CoherentBasisCoeffs, basis_coeffs, correlated_mixture, signal_vector
+from .coherent import basis_coeffs, correlated_mixture, signal_vector
 from .discrimination import (
     DiscriminationResult,
     compose_error,
@@ -31,21 +31,17 @@ from .keyrate import (
     announcement_probability,
     asymptotic_rate,
     devetak_winter_rate,
-    dw_rate_closed,
     eve_conditional_state,
     eve_mixture,
     holevo,
-    holevo_closed,
     link_rate,
     loss_povm,
     optimize_intensity,
-    sift_probability,
     symmetric_rate,
     transmittance_from_distance,
 )
 from .linalg import (
     binary_entropy,
-    eigenvalues_hermitian,
     outer,
     trace_norm,
     von_neumann_entropy,

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,18 +32,8 @@ from .simulation import (
 SWEEP_VARIABLES = ("distance_km", "mu")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    steps: int
-
-    def grid(self) -> list:
-        return np.linspace(self.start, self.stop, self.steps).tolist()
-
-
-def parse_sweep(text: str) -> SweepSpec:
+def parse_sweep(text: str) -> tuple:
+    """(variable, grid) from var:start:stop:steps; grid[0] is start, as Python floats."""
     parts = text.split(":")
     if len(parts) != 4:
         raise UsageError(f"--sweep wants var:start:stop:steps, got {text!r}")
@@ -61,7 +50,7 @@ def parse_sweep(text: str) -> SweepSpec:
         raise UsageError(f"sweep start must be < stop, got {start_f} >= {stop_f}")
     if steps_i < 2:
         raise UsageError(f"sweep needs at least 2 steps, got {steps_i}")
-    return SweepSpec(variable=var, start=start_f, stop=stop_f, steps=steps_i)
+    return var, np.linspace(start_f, stop_f, steps_i).tolist()
 
 
 def _fmt_cell(value) -> str:
@@ -104,10 +93,9 @@ def _emit(rows, args) -> None:
 
 def _cmd_discriminate(args) -> int:
     if args.sweep is not None:
-        sweep = parse_sweep(args.sweep)
-        if sweep.variable != "mu":
+        variable, mus = parse_sweep(args.sweep)
+        if variable != "mu":
             raise UsageError("discriminate sweeps over mu only")
-        mus = sweep.grid()
     else:
         mus = [args.mu]
     rows = []
@@ -165,20 +153,20 @@ def _cmd_keyrate(args) -> int:
 
     rows = []
     if args.sweep is not None:
-        sweep = parse_sweep(args.sweep)
-        if sweep.variable == "distance_km":
-            if sweep.start < 0:
+        variable, grid = parse_sweep(args.sweep)
+        if variable == "distance_km":
+            if grid[0] < 0:
                 raise ValidationError("distance sweep must start at >= 0 km")
-            for total in sweep.grid():
+            for total in grid:
                 half = total / 2.0
                 rows.append({"L_km": total,
                              **_keyrate_row(args.mu, mu2, half, half, args.delta_ec)})
         else:
-            if sweep.start <= 0:
+            if grid[0] <= 0:
                 raise ValidationError("mu sweep must start at > 0")
             if args.mu2 is not None:
                 raise UsageError("mu sweeps drive both links; drop --mu2")
-            for mu in sweep.grid():
+            for mu in grid:
                 rows.append({"mu": mu, **_keyrate_row(mu, mu, link1, link2, args.delta_ec)})
     else:
         rows.append({"L_km": link1 + link2, "mu": args.mu,

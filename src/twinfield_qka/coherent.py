@@ -16,7 +16,6 @@ to tell apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,17 +34,8 @@ def sign_value(s) -> int:
     raise ValidationError(f"phase sign must be +1, -1, '+' or '-', got {s!r}")
 
 
-@dataclass(frozen=True)
-class CoherentBasisCoeffs:
-    """Subspace amplitudes of |sqrt(mu)> with c0^2 + c1^2 = 1."""
-
-    mu: float
-    c0: float
-    c1: float
-
-
-def basis_coeffs(mu: float) -> CoherentBasisCoeffs:
-    """Even/odd branch amplitudes c0, c1 for mean photon number mu."""
+def basis_coeffs(mu: float) -> tuple:
+    """Even/odd branch amplitudes (c0, c1) of |sqrt(mu)>, with c0^2 + c1^2 = 1."""
     if mu < 0:
         raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
     try:
@@ -54,7 +44,7 @@ def basis_coeffs(mu: float) -> CoherentBasisCoeffs:
         raise ValidationError(f"mean photon number too large: cosh({mu!r}) overflows") from None
     c0 = math.exp(-mu / 2.0) * math.sqrt(cosh)
     c1 = math.exp(-mu / 2.0) * math.sqrt(sinh)
-    return CoherentBasisCoeffs(mu=mu, c0=c0, c1=c1)
+    return c0, c1
 
 
 def signal_vector(sa, sb, mu: float) -> np.ndarray:
@@ -65,13 +55,13 @@ def signal_vector(sa, sb, mu: float) -> np.ndarray:
     """
     sa = sign_value(sa)
     sb = sign_value(sb)
-    c = basis_coeffs(mu)
+    c0, c1 = basis_coeffs(mu)
     return np.array(
         [
-            c.c0 * c.c0,
-            sa * sb * c.c1 * c.c1,
-            sb * c.c0 * c.c1,
-            sa * c.c0 * c.c1,
+            c0 * c0,
+            sa * sb * c1 * c1,
+            sb * c0 * c1,
+            sa * c0 * c1,
         ],
         dtype=complex,
     )

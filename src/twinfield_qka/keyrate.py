@@ -81,9 +81,9 @@ def loss_povm(mu: float, eta: float) -> LossPovm:
         raise ValidationError(f"intensity must be > 0, got {mu!r}")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
-    c = basis_coeffs(mu)
-    c02 = c.c0 * c.c0
-    c12 = c.c1 * c.c1
+    c0, c1 = basis_coeffs(mu)
+    c02 = c0 * c0
+    c12 = c1 * c1
     xi = math.exp(-math.sqrt(eta) * mu)
     omega = math.exp(-2.0 * (1.0 - math.sqrt(eta)) * mu)
     x2o2 = xi * xi * omega * omega
@@ -205,25 +205,11 @@ def link_rate(mu: float, eta: float, delta_ec: float = 0.0) -> tuple:
         raise ValidationError(f"error-correction leakage must be finite and >= 0, got {delta_ec!r}")
     se = math.sqrt(eta)
     sift = 1.0 - math.exp(-2.0 * se * mu)
-    overlap = math.exp(-4.0 * mu * (1.0 - se)) * math.exp(-2.0 * mu * se)
+    # mu * (1 - se) first: at eta == 1 it is 0 even where 4 * mu overflows.
+    overlap = math.exp(-4.0 * (mu * (1.0 - se))) * math.exp(-2.0 * mu * se)
     chi = binary_entropy((1.0 - overlap) / 2.0)
     fraction = max(0.0, 1.0 - delta_ec - chi)
     return sift, chi, fraction, sift * fraction
-
-
-def sift_probability(mu: float, eta: float) -> float:
-    """Probability of a conclusive ('+' or '-') announcement per pulse."""
-    return link_rate(mu, eta)[0]
-
-
-def holevo_closed(mu: float, eta: float) -> float:
-    """Closed form of the conclusive-round Holevo information, in bits."""
-    return link_rate(mu, eta)[1]
-
-
-def dw_rate_closed(mu: float, eta: float, delta_ec: float = 0.0) -> float:
-    """Closed-form secret bits per conclusive announcement."""
-    return link_rate(mu, eta, delta_ec)[2]
 
 
 def transmittance_from_distance(distance_km: float) -> float:

@@ -55,12 +55,6 @@ def check_psd(op) -> np.ndarray:
     return h
 
 
-def eigenvalues_hermitian(op) -> np.ndarray:
-    """Real spectrum of a hermitian operator, sorted descending."""
-    h = check_hermitian(op)
-    return np.sort(np.linalg.eigvalsh(h))[::-1]
-
-
 def trace_norm(op) -> float:
     """Trace norm |A|_1; for hermitian A this is the sum of |eigenvalues|."""
     h = check_hermitian(op)

@@ -71,10 +71,6 @@ class Segment:
     center: object
     arm_distances: tuple
 
-    @property
-    def is_pair(self) -> bool:
-        return len(self.members) == 2
-
 
 @dataclass(frozen=True)
 class NetworkPlan:
@@ -89,10 +85,9 @@ class NetworkPlan:
 
 @dataclass(frozen=True)
 class PartyGraph:
-    """Parties with optional planar coordinates and optional explicit edges."""
+    """Party ids and the (a, b, km) edges between them."""
 
     parties: tuple
-    coordinates: dict
     edges: tuple  # (a, b, km)
 
     @classmethod
@@ -156,7 +151,7 @@ class PartyGraph:
                     f"edge ({a!r}, {b!r}) must have a finite distance > 0, got {km!r}"
                 )
             clean.append((a, b, float(km)))
-        return cls(parties=tuple(ids), coordinates=coords, edges=tuple(clean))
+        return cls(parties=tuple(ids), edges=tuple(clean))
 
     @classmethod
     def from_json(cls, text: str) -> "PartyGraph":

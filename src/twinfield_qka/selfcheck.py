@@ -79,7 +79,7 @@ def check_entropy_closed_form():
         for eta in (1.0, 0.1, 1e-3):
             povm = keyrate.loss_povm(mu, eta)
             direct = keyrate.holevo(povm, "+")
-            worst = max(worst, abs(direct - keyrate.holevo_closed(mu, eta)))
+            worst = max(worst, abs(direct - keyrate.link_rate(mu, eta)[1]))
     ok = worst < 1e-9
     return "operator pipeline vs closed-form Holevo", ok, f"max deviation = {worst:.2e}"
 
@@ -89,7 +89,7 @@ def check_noiseless_session():
         n_pulses=20000, mu=0.2, y0=0.0, dark_count_prob=0.0, seed=7,
     )
     result = simulation.run_session(config)
-    p = keyrate.sift_probability(0.2, 1.0)
+    p = keyrate.link_rate(0.2, 1.0)[0]
     sigma = math.sqrt(p * (1.0 - p) / config.n_pulses)
     frac = result.conclusive_counts["AB"] / config.n_pulses
     ok = result.qber_ab == 0.0 and result.qber_bc == 0.0 and abs(frac - p) < 5 * sigma

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .keyrate import holevo_closed, transmittance_from_distance
+from .keyrate import link_rate, transmittance_from_distance
 from .linalg import binary_entropy
 
 #: Pulses per random block.  Fixed: changing it changes every session stream.
@@ -207,7 +207,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     links = []
     for (m, eta), end, qber in zip(nodes, ends, qbers):
         sift = len(end) / n
-        chi = holevo_closed(m / math.sqrt(eta), eta) if m > 0 else 0.0
+        chi = link_rate(m / math.sqrt(eta), eta)[1] if m > 0 else 0.0
         skr = sift * max(0.0, 1.0 - chi - config.ec_efficiency * binary_entropy(qber))
         links.append((skr, sift, chi))
     skr, sifted_rate, chi = min(links, key=lambda link: link[0])

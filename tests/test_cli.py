@@ -464,6 +464,20 @@ class TestOutOfRangeInputs:
         assert not out.exists()
 
 
+class TestHugeIntensityAtZeroKm:
+    """mu near the float maximum with no loss: chi 1 and rate 0, as at mu = 800."""
+
+    def test_keyrate(self, capsys):
+        assert dispatch(["keyrate", "--mu", "1e308", "--distance-km", "0"]) == 0
+        (row,) = read_csv(capsys.readouterr().out)
+        assert (float(row["chi"]), float(row["rate"])) == (1.0, 0.0)
+
+    def test_simulate(self, capsys):
+        assert dispatch(["simulate", "--mu", "1e308", "--pulses", "10"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["chi"], result["skr_per_pulse"]) == (1.0, 0.0)
+
+
 class TestParserReuse:
     """One parser serves every dispatch of a process."""
 
@@ -533,12 +547,13 @@ class TestDispatchErrors:
 
 class TestSweepParsing:
     def test_well_formed(self):
-        spec = parse_sweep("mu:0.1:1.0:10")
-        assert spec.variable == "mu"
-        assert len(spec.grid()) == 10
+        variable, grid = parse_sweep("mu:0.1:1.0:10")
+        assert variable == "mu"
+        assert len(grid) == 10
+        assert (grid[0], grid[-1]) == (0.1, 1.0)
 
     def test_grid_values_are_python_floats(self, capsys):
-        assert [type(x) for x in parse_sweep("mu:0.1:1.0:4").grid()] == [float] * 4
+        assert [type(x) for x in parse_sweep("mu:0.1:1.0:4")[1]] == [float] * 4
         assert dispatch(["keyrate", "--sweep", "distance_km:0:1e300:3"]) == 1
         assert capsys.readouterr().err == "error: transmittance must lie in (0, 1], got 0.0\n"
 

@@ -13,24 +13,23 @@ MU_GRID = np.arange(0.05, 1.0001, 0.05)
 
 class TestBasisCoeffs:
     def test_vacuum(self):
-        c = basis_coeffs(0.0)
-        assert (c.c0, c.c1) == (1.0, 0.0)
+        assert basis_coeffs(0.0) == (1.0, 0.0)
 
     def test_known_intensity(self):
-        c = basis_coeffs(0.2)
-        assert c.c0**2 == pytest.approx(0.83516002301781966, abs=1e-15)
-        assert c.c1**2 == pytest.approx(0.16483997698218036, abs=1e-15)
+        c0, c1 = basis_coeffs(0.2)
+        assert c0**2 == pytest.approx(0.83516002301781966, abs=1e-15)
+        assert c1**2 == pytest.approx(0.16483997698218036, abs=1e-15)
 
     def test_normalization_identity(self):
         for mu in np.linspace(0.0, 5.0, 60):
-            c = basis_coeffs(mu)
-            assert c.c0**2 + c.c1**2 == pytest.approx(1.0, abs=1e-12)
+            c0, c1 = basis_coeffs(mu)
+            assert c0**2 + c1**2 == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_defining_formulas(self):
         for mu in MU_GRID:
-            c = basis_coeffs(mu)
-            assert c.c0 == pytest.approx(math.exp(-mu / 2) * math.sqrt(math.cosh(mu)), abs=1e-14)
-            assert c.c1 == pytest.approx(math.exp(-mu / 2) * math.sqrt(math.sinh(mu)), abs=1e-14)
+            c0, c1 = basis_coeffs(mu)
+            assert c0 == pytest.approx(math.exp(-mu / 2) * math.sqrt(math.cosh(mu)), abs=1e-14)
+            assert c1 == pytest.approx(math.exp(-mu / 2) * math.sqrt(math.sinh(mu)), abs=1e-14)
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ValidationError):
@@ -101,8 +100,8 @@ class TestCorrelatedMixture:
         # rho_plus - rho_minus has zero diagonal and off-diagonal entries
         # +-2 c0^2 c1^2 inside the two blocks.
         for mu in MU_GRID:
-            c = basis_coeffs(mu)
-            gap = 2 * c.c0**2 * c.c1**2
+            c0, c1 = basis_coeffs(mu)
+            gap = 2 * c0**2 * c1**2
             d = correlated_mixture(+1, mu) - correlated_mixture(-1, mu)
             np.testing.assert_allclose(np.diag(d), 0.0, atol=1e-14)
             assert d[0, 1].real == pytest.approx(gap, abs=1e-13)

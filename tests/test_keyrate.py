@@ -12,19 +12,16 @@ from twinfield_qka.keyrate import (
     announcement_probability,
     asymptotic_rate,
     devetak_winter_rate,
-    dw_rate_closed,
     eve_conditional_state,
     eve_mixture,
     holevo,
-    holevo_closed,
     link_rate,
     loss_povm,
     optimize_intensity,
-    sift_probability,
     symmetric_rate,
     transmittance_from_distance,
 )
-from twinfield_qka.linalg import von_neumann_entropy
+from twinfield_qka.linalg import binary_entropy, von_neumann_entropy
 
 MU_GRID = np.linspace(0.01, 1.0, 20)
 ETA_GRID = np.logspace(-5, 0, 20)
@@ -48,8 +45,8 @@ class TestLossPovm:
 
     def test_inconclusive_top_entry_at_unit_eta(self):
         povm = loss_povm(0.2, 1.0)
-        c = basis_coeffs(0.2)
-        expected = povm.xi**2 * (1 + povm.omega) ** 2 / (4 * c.c0**4)
+        c0, _ = basis_coeffs(0.2)
+        expected = povm.xi**2 * (1 + povm.omega) ** 2 / (4 * c0**4)
         assert povm.f_inconclusive[0, 0].real == pytest.approx(expected, abs=1e-14)
         assert povm.omega == pytest.approx(1.0)
 
@@ -132,7 +129,7 @@ class TestEveMixtureAndHolevo:
         povm = loss_povm(0.2, 1.0)
         s = von_neumann_entropy(eve_mixture(povm, "+"))
         assert s == pytest.approx(0.64576359828413954, abs=1e-12)
-        assert s == pytest.approx(holevo_closed(0.2, 1.0), abs=1e-12)
+        assert s == pytest.approx(link_rate(0.2, 1.0)[1], abs=1e-12)
 
     def test_mixture_rank_at_most_two(self):
         povm = loss_povm(0.4, 0.3)
@@ -181,7 +178,7 @@ class TestDevetakWinter:
             for eta in ETA_GRID[::2]:
                 povm = loss_povm(mu, eta)
                 direct = devetak_winter_rate(povm, "+", 0.0)
-                assert direct == pytest.approx(dw_rate_closed(mu, eta), abs=1e-9)
+                assert direct == pytest.approx(link_rate(mu, eta)[2], abs=1e-9)
 
 
 class TestAsymptoticRate:
@@ -195,7 +192,8 @@ class TestAsymptoticRate:
     def test_min_semantics(self):
         strong = ChannelParams(0.2, 0.2, 1.0, 1.0)
         weak = ChannelParams(0.2, 0.2, 1.0, 1e-3)
-        r_weak_link = sift_probability(0.2, 1e-3) * dw_rate_closed(0.2, 1e-3)
+        sift, _, fraction, _ = link_rate(0.2, 1e-3)
+        r_weak_link = sift * fraction
         assert asymptotic_rate(weak).r_infinity == pytest.approx(r_weak_link, abs=1e-15)
         assert asymptotic_rate(weak).r_infinity < asymptotic_rate(strong).r_infinity
 
@@ -223,9 +221,11 @@ class TestLinkRate:
         for mu in MU_GRID[::4]:
             for eta in ETA_GRID[::4]:
                 sift, chi, fraction, bits = link_rate(mu, eta, 0.05)
-                assert sift == sift_probability(mu, eta)
-                assert chi == holevo_closed(mu, eta)
-                assert fraction == dw_rate_closed(mu, eta, 0.05)
+                se = math.sqrt(eta)
+                overlap = math.exp(-4 * mu * (1 - se) - 2 * mu * se)
+                assert sift == pytest.approx(1 - math.exp(-2 * se * mu), rel=1e-12)
+                assert chi == pytest.approx(binary_entropy((1 - overlap) / 2), rel=1e-12)
+                assert fraction == max(0.0, 1 - 0.05 - chi)
                 assert bits == sift * fraction
 
     def test_two_link_rate_is_the_slower_link(self):
@@ -235,9 +235,8 @@ class TestLinkRate:
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.1])
     def test_bad_intensity_rejected(self, mu):
-        for fn in (sift_probability, holevo_closed, link_rate):
-            with pytest.raises(ValidationError):
-                fn(mu, 0.5)
+        with pytest.raises(ValidationError):
+            link_rate(mu, 0.5)
 
     @pytest.mark.parametrize("delta_ec", [float("nan"), float("inf"), -0.1])
     def test_bad_leakage_rejected(self, delta_ec):

@@ -9,7 +9,6 @@ from twinfield_qka.errors import ValidationError
 from twinfield_qka.linalg import (
     binary_entropy,
     check_density,
-    eigenvalues_hermitian,
     outer,
     psd_sqrt,
     trace_norm,
@@ -34,37 +33,40 @@ def _mixture(parity, mu):
 
 
 class TestEigenvalues:
+    """The spectrum as trace_norm and von_neumann_entropy see it (check_hermitian + eigvalsh)."""
+
     def test_identity_spectrum(self):
-        np.testing.assert_allclose(eigenvalues_hermitian(np.eye(4)), [1, 1, 1, 1])
+        assert trace_norm(np.eye(4)) == pytest.approx(4.0, abs=1e-14)
+        assert von_neumann_entropy(np.eye(4) / 4) == pytest.approx(2.0, abs=1e-14)
 
     def test_diagonal_matrix(self):
-        w = eigenvalues_hermitian(np.diag([0.5, 0.5, 0.0, 0.0]))
-        np.testing.assert_allclose(w, [0.5, 0.5, 0.0, 0.0], atol=1e-14)
+        rho = np.diag([0.5, 0.5, 0.0, 0.0])
+        assert trace_norm(rho) == pytest.approx(1.0, abs=1e-14)
+        assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_half_mixture_difference(self):
         # Spectrum of 1/2 (rho_minus - rho_plus) at mu = 0.2 is {+-c0^2 c1^2},
-        # each twice, with c0^2 c1^2 = (1 - e^-0.8)/4.
+        # each twice, with c0^2 c1^2 = (1 - e^-0.8)/4: traceless, trace norm 4 c0^2 c1^2.
         d = 0.5 * (_mixture(-1, 0.2) - _mixture(+1, 0.2))
-        w = eigenvalues_hermitian(d)
         c02c12 = 0.13766775897069461
-        np.testing.assert_allclose(w, [c02c12, c02c12, -c02c12, -c02c12], atol=1e-12)
-
-    def test_descending_order(self):
-        w = eigenvalues_hermitian(np.diag([0.1, 0.7, 0.2, 0.0]))
-        assert list(w) == sorted(w, reverse=True)
+        assert abs(np.trace(d)) < 1e-15
+        assert trace_norm(d) == pytest.approx(4 * c02c12, abs=1e-12)
 
     def test_sum_matches_trace(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (a + a.conj().T) / 2
-            assert abs(eigenvalues_hermitian(h).sum() - np.trace(h).real) < 1e-10
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            assert trace_norm(rho) == pytest.approx(1.0, abs=1e-10)
+            assert 0.0 <= von_neumann_entropy(rho) <= 2.0
 
     def test_non_hermitian_rejected_with_entry_pair(self):
-        bad = np.eye(4, dtype=complex)
+        bad = np.eye(4, dtype=complex) / 4
         bad[0, 2] = 0.3
-        with pytest.raises(ValidationError, match=r"\(0,2\)"):
-            eigenvalues_hermitian(bad)
+        for fn in (trace_norm, von_neumann_entropy):
+            with pytest.raises(ValidationError, match=r"\(0,2\)"):
+                fn(bad)
 
 
 class TestTraceNorm:
@@ -155,9 +157,9 @@ class TestOuter:
         rng = np.random.default_rng(23)
         for _ in range(10):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
-            w = eigenvalues_hermitian(outer(v))
-            np.testing.assert_allclose(w[0], np.vdot(v, v).real, rtol=1e-12)
-            np.testing.assert_allclose(w[1:], 0.0, atol=1e-12)
+            norm2 = np.vdot(v, v).real
+            assert trace_norm(outer(v)) == pytest.approx(norm2, rel=1e-12)
+            assert von_neumann_entropy(outer(v) / norm2) == pytest.approx(0.0, abs=1e-10)
 
 
 class TestPsdSqrt:

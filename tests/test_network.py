@@ -115,7 +115,7 @@ def assert_edge_partition(tree_edges, segments):
             assert seg.center == m[1]
     assert len(used) == len(tree_pairs) == len(set(used))
     assert set(used) == tree_pairs
-    assert sum(1 for s in segments if s.is_pair) == len(tree_edges) % 2
+    assert sum(1 for s in segments if len(s.members) == 2) == len(tree_edges) % 2
 
 
 def all_pairs_adjacency_tree(plan):
@@ -406,14 +406,14 @@ class TestSegmentTree:
             segments = segment_tree(edges)
             assert_valid_decomposition(edges, segments)
             assert all(s.center == 0 for s in segments)
-            assert sum(1 for s in segments if s.is_pair) == 1
+            assert sum(1 for s in segments if len(s.members) == 2) == 1
 
     def test_pair_centred_on_its_first_shared_party(self):
         rng = np.random.default_rng(12)
         for n in (2, 4, 6, 8, 10, 12):
             for _ in range(30):
                 segments = segment_tree(random_tree_edges(n, rng))
-                (pair,) = [s for s in segments if s.is_pair]
+                (pair,) = [s for s in segments if len(s.members) == 2]
                 others = {p for s in segments if s is not pair for p in s.members}
                 shared = [p for p in sorted(pair.members) if p in others]
                 assert pair.center == (shared[0] if shared else min(pair.members))

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from twinfield_qka.keyrate import link_rate  # noqa: E402
 from twinfield_qka.simulation import _block_rng, _successes  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive gap samplers
@@ -27,3 +28,26 @@ def test_successes_are_sorted_distinct_trial_indices(n, p, seed):
         assert 0 <= out[0] and out[-1] < n
     if p == 1.0:
         assert np.array_equal(out, np.arange(n))
+
+
+#: link_rate's whole domain: finite mu >= 0 up to the float maximum, and eta in
+#: (0, 1] with subnormals and exactly 1 (no loss) drawn often.
+INTENSITIES = st.one_of(
+    st.floats(0.0, 1.7e308),
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.2, 710.0, 4.5e307, 1e308, 1.7e308]),
+)
+TRANSMITTANCES = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0 - 2**-53, 1.0]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mu=INTENSITIES, eta=TRANSMITTANCES)
+def test_link_rate_is_finite_and_in_range(mu, eta):
+    sift, chi, fraction, bits = link_rate(mu, eta)
+    assert np.isfinite([sift, chi, fraction, bits]).all()
+    assert 0.0 <= sift <= 1.0
+    assert 0.0 <= chi <= 1.0
+    assert 0.0 <= fraction <= 1.0
+    assert bits >= 0.0

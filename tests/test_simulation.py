@@ -9,8 +9,7 @@ import pytest
 from twinfield_qka import simulation
 from twinfield_qka.errors import ValidationError
 from twinfield_qka.keyrate import (
-    holevo_closed,
-    sift_probability,
+    link_rate,
     symmetric_rate,
     transmittance_from_distance,
 )
@@ -232,7 +231,7 @@ class TestRunSession:
     def test_conclusive_fraction_matches_closed_form(self):
         n = 100_000
         res = run_session(noiseless(n, seed=9))
-        p = sift_probability(0.2, 1.0)
+        p = link_rate(0.2, 1.0)[0]
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(res.conclusive_counts["AB"] / n - p) < 5 * sigma
         assert abs(res.conclusive_counts["BC"] / n - p) < 5 * sigma
@@ -270,7 +269,7 @@ class TestRunSession:
         cfg = noiseless((1 << 20) + 123, seed=21)
         res = run_session(cfg)
         n = cfg.n_pulses
-        p = sift_probability(0.2, 1.0)
+        p = link_rate(0.2, 1.0)[0]
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(res.conclusive_counts["AB"] / n - p) < 5 * sigma
         assert res.qber_ab == 0.0
@@ -310,7 +309,7 @@ class TestRunSession:
         res = run_session(cfg)
         t = transmittance_from_distance(40.0)
         m, eta = 0.2 * t, t * t
-        assert res.chi == holevo_closed(m / math.sqrt(eta), eta)
+        assert res.chi == link_rate(m / math.sqrt(eta), eta)[1]
         assert res.sifted_rate == res.conclusive_counts[weak] / cfg.n_pulses
         assert res.conclusive_counts[weak] == min(res.conclusive_counts.values())
 
