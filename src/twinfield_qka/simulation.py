@@ -17,13 +17,17 @@ Exactly one click maps to '+' or '-', zero or two clicks to '?'.
 Whatever the phase bits, a node is conclusive with probability
 p_conc = p_sig (1 - p_bg) + p_bg (1 - p_sig), and a conclusive round is an
 error with probability p_bg (1 - p_sig) / p_conc, independent of Bob's bit.
-So a session draws only the conclusive rounds, with Bob's bit and an error
-flag each: the law of drawing every pulse and applying the click rule
-above (the per-pulse oracle in `tests/test_simulation.py` checks this).
-Both the conclusive rounds among the pulses and the errors among those
-rounds are drawn as sparse successes of Bernoulli trials, with geometric
-gaps by inversion of standard exponentials, so the cost follows the number
-of successes, not of trials.  Per-block Philox streams keyed by
+The two nodes are independent per pulse.  The sifted keys never use pulse
+positions: the AB key is Bob's bits at AB events, the BC key his bits at BC
+events, and the two share a bit exactly where one pulse is conclusive at
+both nodes.  So a session draws only the events (pulses conclusive at either
+node), as one merged stream per block: their number, then per event a label
+(AB only, both or BC only), Bob's bit and, per node, an error flag.  That is
+the law of drawing every pulse and applying the click rule above (the
+per-pulse oracle in `tests/test_simulation.py` checks this), at a cost that
+follows the events, not the pulses.  Error flags are the sparse successes of
+Bernoulli trials over a node's events, with geometric gaps by inversion of
+standard exponentials.  Per-block PCG64 streams keyed by
 (seed, block_index) make a session bit-for-bit reproducible however the
 pulse loop is chunked.
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +68,10 @@ class SessionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "arm_lengths", tuple(self.arm_lengths))
+        for name in ("n_pulses", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_pulses < 1:
             raise ValidationError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
         for name in ("mu", "ec_efficiency"):
@@ -111,7 +120,7 @@ def background_click_probability(y0: float, dark_count_prob: float) -> float:
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _successes(rng, n: int, p: float) -> np.ndarray:
@@ -145,20 +154,31 @@ def _successes(rng, n: int, p: float) -> np.ndarray:
 
 
 def _block_events(rng, cnt: int, laws):
-    """Per node law (P(conclusive), P(error | conclusive)): positions, Bob's bits, errors.
+    """Per node law (P(conclusive), P(error | conclusive)): event indices, Bob's bits, errors.
 
-    Positions are the successes among the block's cnt pulses and the error
-    flags the successes among the node's events, both drawn sparsely by
-    _successes; Bob's bits are one packed draw per block, shared by both nodes.
+    The nodes are independent per pulse, so the block's events (pulses
+    conclusive at either node) are Binomial(cnt, p_any) in number, with
+    p_any = pa + pb (1 - pa), and each is independently AB only, both or BC
+    only with probabilities proportional to pa (1 - pb), pa pb and (1 - pa) pb.
+    One uniform per event picks its label from the intervals
+    [AB only | both | BC only] of [0, 1), and one packed bit per event is
+    Bob's.  A node's indices are its events' places in that merged stream:
+    sorted, and shared by the two nodes exactly at the events conclusive at
+    both.  The error flags are the successes among each node's events, drawn
+    sparsely by _successes.
     """
-    kb = np.frombuffer(rng.bytes((cnt + 7) >> 3), dtype=np.uint8)
+    (pa, qa), (pb, qb) = laws
+    p_any = pa + pb * (1.0 - pa)  # never above 1, and exactly 1 when pa or pb is
+    n = int(rng.binomial(cnt, p_any))
+    u = rng.random(n)
+    bob = np.unpackbits(np.frombuffer(rng.bytes((n + 7) >> 3), dtype=np.uint8), count=n)
+    # u in [0, ab_only) is AB only, [ab_only, ab) both and [ab, 1) BC only.
+    ab, ab_only = (pa / p_any, pa * (1.0 - pb) / p_any) if p_any else (0.0, 0.0)
     events = []
-    for p, q in laws:
-        pos = _successes(rng, cnt, p)
-        bob = (kb[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-        err = np.zeros(len(pos), dtype=bool)
-        err[_successes(rng, len(pos), q)] = True
-        events.append((pos, bob, err))
+    for idx, q in ((np.flatnonzero(u < ab), qa), (np.flatnonzero(u >= ab_only), qb)):
+        err = np.zeros(len(idx), dtype=bool)
+        err[_successes(rng, len(idx), q)] = True
+        events.append((idx, bob[idx], err))
     return events
 
 

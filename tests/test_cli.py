@@ -205,12 +205,12 @@ class TestSimulateCommand:
         assert dispatch(args) == 0
         assert len(calls) == 4
         assert capsys.readouterr().err == (
-            "conclusive AB / BC        4568 / 4442\n"
-            "qber AB / BC              0 / 0\n"
-            "sifted rate (bottleneck)  0.02221\n"
+            "conclusive AB / BC        4484 / 4545\n"
+            "qber AB / BC              0.000223015 / 0\n"
+            "sifted rate (bottleneck)  0.02242\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00351391\n"
-            "secret key rate bps       3.51391e+06\n"
+            "secret key rate /pulse    0.00354714\n"
+            "secret key rate bps       3.54714e+06\n"
         )
 
 
@@ -399,7 +399,7 @@ class TestOutputPinned:
         (["discriminate", "--sweep", "mu:0.01:1.5:150"],
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "4dfdac935143ad791d2f070ef4cf2fa62700996c41257c8a786e35bbdb946f8a"),
+         "ddf50998e20ff7a6ffbaf375511aa48743fc1d5041da289f6bcfd1448555eea1"),
     ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
             "simulate-json"])
     def test_stdout(self, argv, digest, capsys):

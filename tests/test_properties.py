@@ -8,7 +8,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from twinfield_qka.keyrate import link_rate  # noqa: E402
-from twinfield_qka.simulation import _block_rng, _successes  # noqa: E402
+from twinfield_qka.simulation import _block_events, _block_rng, _successes  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive gap samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -28,6 +28,35 @@ def test_successes_are_sorted_distinct_trial_indices(n, p, seed):
         assert 0 <= out[0] and out[-1] < n
     if p == 1.0:
         assert np.array_equal(out, np.arange(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnt=st.integers(0, 5000), pa=PROBABILITIES, pb=PROBABILITIES,
+       qa=PROBABILITIES, qb=PROBABILITIES, seed=st.integers(0, 2**32 - 1))
+def test_block_events_are_one_merged_stream(cnt, pa, pb, qa, qb, seed):
+    events = _block_events(_block_rng(seed, 0), cnt, [(pa, qa), (pb, qb)])
+    for (idx, bob, err), p, q in zip(events, (pa, pb), (qa, qb)):
+        assert np.all(np.diff(idx) > 0)
+        assert bob.dtype == np.uint8 and np.all(bob <= 1)
+        assert err.dtype == bool
+        assert len(bob) == len(err) == len(idx)
+        if p == 1.0:
+            assert np.array_equal(idx, np.arange(cnt))
+        if q == 0.0:
+            assert not err.any()
+        if q == 1.0:
+            assert err.all()
+    (ab, bob_ab, _), (bc, bob_bc, _) = events
+    # Every event is conclusive at one node at least, and Bob's bit is one per event.
+    merged = np.union1d(ab, bc)
+    assert len(merged) <= cnt
+    assert np.array_equal(merged, np.arange(len(merged)))
+    _, i_ab, i_bc = np.intersect1d(ab, bc, assume_unique=True, return_indices=True)
+    assert np.array_equal(bob_ab[i_ab], bob_bc[i_bc])
+    if pa == 0.0:
+        assert len(ab) == 0
+    if pb == 0.0:
+        assert len(bc) == 0
 
 
 #: link_rate's whole domain: finite mu >= 0 up to the float maximum, and eta in

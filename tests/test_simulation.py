@@ -1,5 +1,6 @@
 """Unit tests for the Monte Carlo protocol simulation."""
 
+import collections
 import math
 from dataclasses import replace
 
@@ -322,6 +323,17 @@ class TestRunSession:
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=10, **{field: value})
 
+    @pytest.mark.parametrize("field", ["n_pulses", "seed"])
+    @pytest.mark.parametrize("value", [10.5, float("nan"), 3.0, True, "3", None])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SessionConfig(**{"n_pulses": 10, field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = SessionConfig(n_pulses=np.int64(5000), seed=np.uint32(3))
+        assert run_session(cfg).conclusive_counts == run_session(
+            SessionConfig(n_pulses=5000, seed=3)).conclusive_counts
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=0)
@@ -417,12 +429,44 @@ class TestEventSampling:
                             y0=0.0, dark_count_prob=0.0, seed=9)
         res = run_session(cfg)
         assert res.conclusive_counts["AB"] <= 5
+        for pos, bob, err in _block_events(_block_rng(9, 0), BLOCK_SIZE,
+                                           [(1e-300, 0.0), (5e-324, 0.0)]):
+            assert len(pos) == len(bob) == len(err) == 0
         # Gaps overflow to inf here and are capped; summing them must not
         # give positions that never pass the block.
-        rng = CountingRng(_block_rng(9, 0))
-        for pos, _, _ in _block_events(rng, BLOCK_SIZE, [(1e-300, 0.0), (5e-324, 0.0)]):
-            assert len(pos) == 0
-        assert rng.exponential_calls == 2
+        for p in (1e-300, 5e-324):
+            rng = CountingRng(_block_rng(9, 0))
+            assert len(_successes(rng, BLOCK_SIZE, p)) == 0
+            assert rng.calls == {"standard_exponential": 1}
+
+    def test_cost_follows_the_events(self):
+        # About 2 events in the block: a per-pulse draw of any kind would
+        # take at least BLOCK_SIZE / 8 values or bytes.
+        rng = CountingRng(_block_rng(10, 0))
+        _block_events(rng, BLOCK_SIZE, [(1e-6, 0.0), (1e-6, 0.0)])
+        assert rng.drawn < 1000
+
+    def test_labels_follow_the_multinomial_law(self):
+        # Each pulse is AB only, both, BC only or neither, independently.
+        pa, pb, blocks = 0.3, 0.01, 4
+        laws = [(pa, 0.0), (pb, 0.0)]
+        probs = np.array([pa * (1 - pb), pa * pb, (1 - pa) * pb, (1 - pa) * (1 - pb)])
+        counts, gaps = np.zeros(4), ([], [], [])
+        for bi in range(blocks):
+            (ab, _, _), (bc, _, _) = _block_events(_block_rng(12, bi), BLOCK_SIZE, laws)
+            label = np.zeros(len(np.union1d(ab, bc)), dtype=np.int8)
+            label[ab] += 1
+            label[bc] += 2  # 1 AB only, 3 both, 2 BC only
+            for gap, code in zip(gaps, (1, 3, 2)):
+                gap.append(np.diff(np.flatnonzero(label == code), prepend=-1))
+            counts[:3] += [np.count_nonzero(label == code) for code in (1, 3, 2)]
+            counts[3] += BLOCK_SIZE - len(label)
+        expected = blocks * BLOCK_SIZE * probs
+        assert chi2_tail(float(np.sum((counts - expected) ** 2 / expected)), 3) >= TAIL_5_SIGMA
+        # In the merged stream the labels are i.i.d.: each one's gaps are geometric.
+        p_any = 1.0 - probs[3]
+        for gap, p in zip(gaps, probs[:3] / p_any):
+            assert geometric_gap_tail(np.concatenate(gap), p) >= TAIL_5_SIGMA, p
 
 
 class TestSuccesses:
@@ -474,18 +518,26 @@ class TestSuccesses:
 
 
 class CountingRng:
-    """A Generator that counts exponential draws and stops a loop that would not end."""
+    """A Generator that counts its draws and stops a loop that would not end.
+
+    `calls` counts the calls per method, `drawn` sums the values (or bytes)
+    every call returned.
+    """
 
     def __init__(self, rng):
-        self.rng, self.exponential_calls = rng, 0
-
-    def standard_exponential(self, size):
-        self.exponential_calls += 1
-        assert self.exponential_calls < 100, "the gap draws do not pass the block"
-        return self.rng.standard_exponential(size)
+        self.rng, self.calls, self.drawn = rng, collections.Counter(), 0
 
     def __getattr__(self, name):
-        return getattr(self.rng, name)
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            assert self.calls[name] < 100, f"{name} is called without end"
+            out = draw(*args, **kwargs)
+            self.drawn += len(out) if isinstance(out, bytes) else np.size(out)
+            return out
+
+        return counted
 
 
 class TestReconcilePair:
