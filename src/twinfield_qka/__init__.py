@@ -30,7 +30,6 @@ from .keyrate import (
     LossPovm,
     announcement_probability,
     asymptotic_rate,
-    devetak_winter_rate,
     eve_conditional_state,
     eve_mixture,
     holevo,

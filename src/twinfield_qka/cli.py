@@ -184,7 +184,6 @@ def _cmd_simulate(args) -> int:
         y0=args.y0,
         dark_count_prob=args.dark,
         seed=args.seed,
-        ec_efficiency=args.ec_efficiency,
     )
     result = run_session(config)
     doc = {
@@ -195,7 +194,6 @@ def _cmd_simulate(args) -> int:
             "y0": config.y0,
             "dark_count_prob": config.dark_count_prob,
             "seed": config.seed,
-            "ec_efficiency": config.ec_efficiency,
         },
         "result": session_result_to_dict(result),
     }
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y0", type=float, default=2.45e-6)
     p.add_argument("--dark", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ec-efficiency", type=float, default=0.0)
     add_common(p, "json")
 
     p = sub.add_parser("plan", help="plan an N-party network and dry-run reconciliation")

@@ -23,9 +23,12 @@ suite, which treats the pipeline as the primary oracle):
     rate per announce  = max(0, 1 - delta_ec - chi)
     bits per pulse     = p(conclusive) * rate
 
-link_rate is the one place these are written.  A chain of links (a session,
-a segment, a network) runs at the min of its links' bits per pulse; on a
-tie the first link is reported.
+link_rate is the one place these are written.  delta_ec is the
+error-correction leakage per conclusive round: a flat figure for the
+closed-form rates, and h(qber) of the measured errors for a simulated
+session.  chi is the loss-only bound, not a security bound once errors
+appear.  A chain of links (a session, a segment, a network) runs at the
+min of its links' bits per pulse; on a tie the first link is reported.
 """
 
 from __future__ import annotations
@@ -183,13 +186,6 @@ def holevo(povm: LossPovm, delta: str) -> float:
     so chi reduces to the entropy of the bit-averaged mixture.
     """
     return von_neumann_entropy(eve_mixture(povm, delta))
-
-
-def devetak_winter_rate(povm: LossPovm, delta: str, delta_ec: float = 0.0) -> float:
-    """Secret bits per conclusive announcement, max(0, 1 - delta_ec - chi)."""
-    if not 0.0 <= delta_ec < math.inf:  # also false for NaN
-        raise ValidationError(f"error-correction leakage must be finite and >= 0, got {delta_ec!r}")
-    return max(0.0, 1.0 - delta_ec - holevo(povm, delta))
 
 
 # --- closed forms -----------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import PlanningError, UsageError, ValidationError
 from .keyrate import link_rate, transmittance_from_distance
+from .simulation import _as_key_bits
 
 
 def _id_key(party):
@@ -386,7 +387,7 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     group key is segment 0's truncated key; every other segment recovers it
     by XOR-ing its own key with the announcements on its path to the root.
     """
-    keys = [np.asarray(k, dtype=np.uint8) for k in segment_keys]
+    keys = [_as_key_bits(k) for k in segment_keys]
     if not keys:
         raise UsageError("reconcile_network needs at least one segment key")
     if len(keys) != len(plan.segments):
@@ -405,11 +406,9 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
 def derive_global_key(plan: NetworkPlan, announcements, segment_index: int, segment_key):
     """Recover the group key from one segment's own key plus the announcements."""
     parent = {child: (par, bits) for par, child, bits in announcements}
+    key = _as_key_bits(segment_key)
     if announcements:
-        n_bits = len(announcements[0][2])
-    else:
-        n_bits = len(segment_key)
-    key = np.asarray(segment_key, dtype=np.uint8)[:n_bits]
+        key = key[: len(announcements[0][2])]
     seg = segment_index
     while seg != 0:
         if seg not in parent:

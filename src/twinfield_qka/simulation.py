@@ -64,7 +64,6 @@ class SessionConfig:
     y0: float = 2.45e-6
     dark_count_prob: float = 1e-6
     seed: int = 0
-    ec_efficiency: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "arm_lengths", tuple(self.arm_lengths))
@@ -74,10 +73,8 @@ class SessionConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_pulses < 1:
             raise ValidationError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
-        for name in ("mu", "ec_efficiency"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # also false for NaN
-                raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= self.mu < math.inf:  # also false for NaN
+            raise ValidationError(f"mu must be finite and >= 0, got {self.mu!r}")
         if len(self.arm_lengths) != 4:
             raise ValidationError("arm_lengths must hold four lengths (l_A, l_B, l_B', l_C)")
         if not all(0.0 <= l < math.inf for l in self.arm_lengths):
@@ -194,23 +191,22 @@ def run_session(config: SessionConfig) -> SessionResult:
     his phase bit, the flipper's (Alice at AB, Charlie at BC) that bit XOR
     the round's error flag.
 
-    The secret fraction applies the loss-only Holevo deduction evaluated
-    at the session's effective per-link working point, plus an optional
-    ec_efficiency * h(qber) error-correction leakage; the weaker link caps
-    the group key.
+    A node's rate is its sift times link_rate's secret fraction at the
+    calibrated source intensity mu * t(|l1 - l2| / 2), with the measured
+    errors charged as leakage h(qber), the Shannon limit; the weaker node
+    caps the group key.
     """
-    t_a, t_b, t_bp, t_c = (transmittance_from_distance(l) for l in config.arm_lengths)
     p_bg = background_click_probability(config.y0, config.dark_count_prob)
-    # Per node, AB then BC: common arrival intensity and link transmittance.
-    nodes = (
-        (min(config.mu * t_a, config.mu * t_b), t_a * t_b),
-        (min(config.mu * t_bp, config.mu * t_c), t_bp * t_c),
-    )
-    laws = []
-    for m, _ in nodes:
+    # Per node, AB then BC: the detector law at the common arrival intensity m,
+    # and the link transmittance and calibrated source intensity for the rate.
+    laws, working_points = [], []
+    for l1, l2 in (config.arm_lengths[:2], config.arm_lengths[2:]):
+        t1, t2 = transmittance_from_distance(l1), transmittance_from_distance(l2)
+        m = config.mu * min(t1, t2)
         p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
         p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
         laws.append((p_conc, p_bg * (1.0 - p_sig) / p_conc if p_conc > 0 else 0.0))
+        working_points.append((t1 * t2, config.mu * transmittance_from_distance(abs(l1 - l2) / 2.0)))
 
     bobs, errs = ([], []), ([], [])
     n = config.n_pulses
@@ -225,11 +221,10 @@ def run_session(config: SessionConfig) -> SessionResult:
 
     qbers = [np.count_nonzero(err) / len(err) if len(err) else 0.0 for err in errs]
     links = []
-    for (m, eta), end, qber in zip(nodes, ends, qbers):
+    for (eta, mu_eff), end, qber in zip(working_points, ends, qbers):
         sift = len(end) / n
-        chi = link_rate(m / math.sqrt(eta), eta)[1] if m > 0 else 0.0
-        skr = sift * max(0.0, 1.0 - chi - config.ec_efficiency * binary_entropy(qber))
-        links.append((skr, sift, chi))
+        _, chi, fraction, _ = link_rate(mu_eff, eta, binary_entropy(qber))
+        links.append((sift * fraction, sift, chi))
     skr, sifted_rate, chi = min(links, key=lambda link: link[0])
 
     return SessionResult(
@@ -259,9 +254,16 @@ def reconcile_pair(k_ab, k_bc):
 
 
 def _as_key_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValidationError("key bits must be 0 or 1")
+    """bits as a 1-D uint8 array; other dtypes are compared, since a cast truncates 0.5."""
+    arr = np.asarray(bits)
+    if arr.dtype == np.uint8:
+        valid = not arr.tobytes().translate(None, b"\0\1")  # what is left is not a bit
+    else:
+        ones = arr == 1
+        valid = bool((ones | (arr == 0)).all())
+        arr = ones.astype(np.uint8)
+    if not valid or arr.ndim != 1:
+        raise ValidationError("key bits must be a 1-D sequence of 0s and 1s")
     return arr
 
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -191,6 +193,28 @@ class TestSimulateCommand:
         assert dispatch(["keyrate", *argv]) == 2
         assert capsys.readouterr().err == err == "usage error: --arm-km lengths must be >= 0\n"
 
+    def test_rate_is_zero_where_background_clicks_dominate(self, capsys):
+        args = ["simulate", "--pulses", "1000000", "--distance-km", "10000", "--seed", "1"]
+        assert dispatch(args) == 0
+        doc = json.loads(capsys.readouterr().out)["result"]
+        assert doc["qber_ab"] > 0.3 and doc["qber_bc"] > 0.3
+        assert doc["skr_per_pulse"] == doc["skr_bps"] == 0.0
+
+    def test_flags_and_config_echo_match_session_config(self, capsys):
+        """Each simulate flag sets a SessionConfig field; the JSON config echoes each once."""
+        fields = {f.name for f in dataclasses.fields(simulation.SessionConfig)}
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["simulate"]._actions} - {"help", "out", "format"}
+        flag_field = {"pulses": "n_pulses", "distance_km": "arm_lengths",
+                      "arm_km": "arm_lengths", "dark": "dark_count_prob"}
+        assert {flag_field.get(d, d) for d in dests} == fields
+        assert len(dests) == len(fields) + 1  # --distance-km and --arm-km both set arm_lengths
+        assert dispatch(["simulate", "--pulses", "10"]) == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]
+        assert {"arm_lengths" if k == "arm_lengths_km" else k for k in echoed} == fields
+        assert len(echoed) == len(fields)
+
     def test_keys_digested_once_and_table_unchanged(self, capsys, monkeypatch):
         calls = []
         digest = simulation._key_digest
@@ -209,8 +233,8 @@ class TestSimulateCommand:
             "qber AB / BC              0.000223015 / 0\n"
             "sifted rate (bottleneck)  0.02242\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00354714\n"
-            "secret key rate bps       3.54714e+06\n"
+            "secret key rate /pulse    0.00347927\n"
+            "secret key rate bps       3.47927e+06\n"
         )
 
 
@@ -399,7 +423,7 @@ class TestOutputPinned:
         (["discriminate", "--sweep", "mu:0.01:1.5:150"],
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "ddf50998e20ff7a6ffbaf375511aa48743fc1d5041da289f6bcfd1448555eea1"),
+         "2d667d74f237b13a9906ecbc3a959f32c38053da6469ce3cabfc2df9ef7f2cfa"),
     ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
             "simulate-json"])
     def test_stdout(self, argv, digest, capsys):
@@ -416,7 +440,7 @@ class TestNonFiniteInputs:
         ["keyrate", "--delta-ec", "inf"],
         ["simulate", "--mu", "nan"],
         ["simulate", "--mu", "inf"],
-        ["simulate", "--ec-efficiency", "nan"],
+        ["simulate", "--arm-km", "0", "inf", "0", "0"],
         ["simulate", "--distance-km", "nan"],
         ["plan", "NET", "--mu", "nan"],
         ["plan", "NET", "--delta-ec", "nan"],
@@ -446,6 +470,9 @@ class TestOutOfRangeInputs:
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
         ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
         ["plan", "DEEP_PARTIES"],
+        ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0
+        ["simulate", "--arm-km", "0", "0", "8100", "8100"],
+        ["simulate", "--distance-km", "100000"],
     ])
     def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
         networks = {

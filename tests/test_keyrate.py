@@ -11,7 +11,6 @@ from twinfield_qka.keyrate import (
     ChannelParams,
     announcement_probability,
     asymptotic_rate,
-    devetak_winter_rate,
     eve_conditional_state,
     eve_mixture,
     holevo,
@@ -156,20 +155,19 @@ class TestEveMixtureAndHolevo:
 
 
 class TestDevetakWinter:
+    """link_rate's fraction max(0, 1 - delta_ec - chi), with chi from the operator pipeline."""
+
     def test_unit_eta_value(self):
         povm = loss_povm(0.2, 1.0)
-        assert devetak_winter_rate(povm, "+", 0.0) == pytest.approx(
-            0.35423640171586046, abs=1e-12
-        )
+        assert 1.0 - holevo(povm, "+") == pytest.approx(0.35423640171586046, abs=1e-12)
+        assert link_rate(0.2, 1.0)[2] == pytest.approx(0.35423640171586046, abs=1e-12)
 
     def test_full_leakage_clamps_to_zero(self):
-        povm = loss_povm(0.2, 1.0)
-        assert devetak_winter_rate(povm, "+", 1.0) == 0.0
+        assert link_rate(0.2, 1.0, 1.0)[2] == 0.0
 
     def test_negative_leakage_rejected(self):
-        povm = loss_povm(0.2, 1.0)
         with pytest.raises(ValidationError):
-            devetak_winter_rate(povm, "+", -0.1)
+            link_rate(0.2, 1.0, -0.1)
 
     def test_closed_form_equals_operator_pipeline(self):
         # Independent route: POVM -> PSD sqrt -> conditional states ->
@@ -177,8 +175,10 @@ class TestDevetakWinter:
         for mu in MU_GRID[::2]:
             for eta in ETA_GRID[::2]:
                 povm = loss_povm(mu, eta)
-                direct = devetak_winter_rate(povm, "+", 0.0)
-                assert direct == pytest.approx(link_rate(mu, eta)[2], abs=1e-9)
+                direct = holevo(povm, "+")
+                _, chi, fraction, _ = link_rate(mu, eta)
+                assert direct == pytest.approx(chi, abs=1e-9)
+                assert fraction == max(0.0, 1.0 - chi)
 
 
 class TestAsymptoticRate:
@@ -242,8 +242,6 @@ class TestLinkRate:
     def test_bad_leakage_rejected(self, delta_ec):
         with pytest.raises(ValidationError):
             link_rate(0.2, 0.5, delta_ec)
-        with pytest.raises(ValidationError):
-            devetak_winter_rate(loss_povm(0.2, 0.5), "+", delta_ec)
 
 
 class TestTransmittance:

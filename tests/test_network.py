@@ -22,6 +22,7 @@ from twinfield_qka.network import (
     segment_rate,
     segment_tree,
 )
+from twinfield_qka.simulation import reconcile_pair
 
 FIG_SEVEN_EDGES = [
     (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
@@ -505,6 +506,39 @@ class TestPlanRates:
     def test_non_finite_intensity_rejected(self, mu):
         with pytest.raises(ValidationError):
             plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), mu=mu)
+
+
+class TestKeyBits:
+    """reconcile_pair, reconcile_network and derive_global_key share one key-bit check."""
+
+    ZEROS = [0, 0, 0]
+    #: Each call returns its key's bits unchanged: XOR with all-zero partners.
+    CALLS = {
+        "reconcile_pair": lambda key, plan: reconcile_pair(key, TestKeyBits.ZEROS)[0],
+        "reconcile_network": lambda key, plan: reconcile_network([key, TestKeyBits.ZEROS], plan)[0],
+        "derive_global_key": lambda key, plan: derive_global_key(
+            plan, reconcile_network([TestKeyBits.ZEROS] * 2, plan)[1], 1, key),
+    }
+
+    @staticmethod
+    def two_segment_plan():
+        return plan_rates(segment_tree([(i, i + 1, 10.0) for i in range(1, 5)]), 0.2)
+
+    @pytest.mark.parametrize("key", [[0.5, 1, 0], [-1, 0, 1], [2**70, 0, 1], [2, 1, 0],
+                                     [float("nan"), 1, 0], ["1", "0", "1"], [[0, 1], [1, 0]],
+                                     np.array([3, 1, 0], dtype=np.uint8)])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_bits_rejected(self, call, key):
+        with pytest.raises(ValidationError, match="key bits"):
+            self.CALLS[call](key, self.two_segment_plan())
+
+    @pytest.mark.parametrize("key", [[0, 1, 1], [False, True, True], [0.0, 1.0, 1.0],
+                                     np.array([0, 1, 1], dtype=np.int64)])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_bit_valued_keys_accepted(self, call, key):
+        out = self.CALLS[call](key, self.two_segment_plan())
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, [0, 1, 1])
 
 
 class TestReconcileNetwork:

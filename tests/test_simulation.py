@@ -14,6 +14,7 @@ from twinfield_qka.keyrate import (
     symmetric_rate,
     transmittance_from_distance,
 )
+from twinfield_qka.linalg import binary_entropy
 from twinfield_qka.simulation import (
     BLOCK_SIZE,
     SessionConfig,
@@ -314,8 +315,24 @@ class TestRunSession:
         assert res.sifted_rate == res.conclusive_counts[weak] / cfg.n_pulses
         assert res.conclusive_counts[weak] == min(res.conclusive_counts.values())
 
-    @pytest.mark.parametrize("field", ["mu", "ec_efficiency", "y0", "dark_count_prob",
-                                       "arm_lengths"])
+    def test_rate_charges_measured_errors_through_link_rate(self):
+        # Heavy background and unequal arms: each node pays h(qber) on top of chi.
+        arms = (5.0, 25.0, 40.0, 10.0)
+        cfg = SessionConfig(n_pulses=300_000, arm_lengths=arms, y0=2e-3, seed=8)
+        res = run_session(cfg)
+        t = transmittance_from_distance
+        rates, loss_only = [], []
+        for (l1, l2), qber, node in ((arms[:2], res.qber_ab, "AB"),
+                                     (arms[2:], res.qber_bc, "BC")):
+            sift = res.conclusive_counts[node] / cfg.n_pulses
+            mu_eff, eta = 0.2 * t(abs(l1 - l2) / 2), t(l1) * t(l2)
+            rates.append(sift * link_rate(mu_eff, eta, binary_entropy(qber))[2])
+            loss_only.append(sift * link_rate(mu_eff, eta)[2])
+        assert min(res.qber_ab, res.qber_bc) > 0.005
+        assert res.skr_per_pulse == min(rates)
+        assert 0.0 < res.skr_per_pulse < min(loss_only)
+
+    @pytest.mark.parametrize("field", ["mu", "y0", "dark_count_prob", "arm_lengths"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_rejected(self, field, value):
         if field == "arm_lengths":
