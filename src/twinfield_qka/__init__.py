@@ -25,8 +25,6 @@ from .discrimination import (
 )
 from .errors import ImpossibleBranchError, PlanningError, UsageError, ValidationError
 from .keyrate import (
-    ChannelParams,
-    KeyRateResult,
     LossPovm,
     announcement_probability,
     asymptotic_rate,

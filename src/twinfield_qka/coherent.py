@@ -36,8 +36,8 @@ def sign_value(s) -> int:
 
 def basis_coeffs(mu: float) -> tuple:
     """Even/odd branch amplitudes (c0, c1) of |sqrt(mu)>, with c0^2 + c1^2 = 1."""
-    if mu < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
+    if not 0.0 <= mu < math.inf:  # also false for NaN
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
     try:
         cosh, sinh = math.cosh(mu), math.sinh(mu)
     except OverflowError:  # mu above ~710

@@ -48,15 +48,15 @@ def helstrom_error(rho0, rho1) -> float:
 
 def qmin_pair_closed(mu: float) -> float:
     """Closed-form single-node error (3 + exp(-4 mu))/8."""
-    if mu < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
+    if not 0.0 <= mu < math.inf:  # also false for NaN
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
     return (math.exp(-4.0 * mu) + 3.0) / 8.0
 
 
 def qmin_pair_closed_hyperbolic(mu: float) -> float:
     """Equivalent hyperbolic form 1/2 (1 - exp(-2 mu) cosh(mu) sinh(mu))."""
-    if mu < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
+    if not 0.0 <= mu < math.inf:  # also false for NaN
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
     return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
 
 
@@ -68,8 +68,8 @@ def qmin_triple_closed(mu: float) -> float:
 
 def qmin_triple_closed_expanded(mu: float) -> float:
     """Equivalent expanded form (39 + 10 exp(-4 mu) - exp(-8 mu))/64."""
-    if mu < 0:
-        raise ValidationError(f"mean photon number must be >= 0, got {mu!r}")
+    if not 0.0 <= mu < math.inf:  # also false for NaN
+        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
     return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
 
 

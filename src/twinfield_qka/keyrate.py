@@ -29,6 +29,7 @@ closed-form rates, and h(qber) of the measured errors for a simulated
 session.  chi is the loss-only bound, not a security bound once errors
 appear.  A chain of links (a session, a segment, a network) runs at the
 min of its links' bits per pulse; on a tie the first link is reported.
+asymptotic_rate is the one place that rule is written.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def loss_povm(mu: float, eta: float) -> LossPovm:
     amplitudes; F+ + F- + F? = identity holds identically because
     xi^2 omega = exp(-2 mu).
     """
-    if mu <= 0:
-        raise ValidationError(f"intensity must be > 0, got {mu!r}")
+    if not 0.0 < mu < math.inf:  # also false for NaN
+        raise ValidationError(f"intensity must be finite and > 0, got {mu!r}")
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
     c0, c1 = basis_coeffs(mu)
@@ -215,66 +216,17 @@ def transmittance_from_distance(distance_km: float) -> float:
     return 10.0 ** (-FIBER_DB_PER_KM * distance_km / 10.0)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Intensities and end-to-end transmittances for the two links."""
+def asymptotic_rate(links, delta_ec: float = 0.0) -> tuple:
+    """(index, link_rate) of a chain's bottleneck, over its (mu, eta) links.
 
-    mu1: float
-    mu2: float
-    eta1: float
-    eta2: float
-
-    def __post_init__(self):
-        for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if not 0.0 <= mu < math.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {mu!r}")
-        for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-            if not 0.0 < eta <= 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1], got {eta!r}")
-
-    @classmethod
-    def from_link_distances(cls, mu1, mu2, link1_km, link2_km) -> "ChannelParams":
-        """Derive transmittances from party-to-party link lengths in km."""
-        return cls(
-            mu1=mu1,
-            mu2=mu2,
-            eta1=transmittance_from_distance(link1_km),
-            eta2=transmittance_from_distance(link2_km),
-        )
-
-
-@dataclass(frozen=True)
-class KeyRateResult:
-    """Per-link sift/Holevo/rate figures plus the bottlenecked bits per pulse."""
-
-    rate_ab: float
-    rate_bc: float
-    sift_ab: float
-    sift_bc: float
-    holevo_ab: float
-    holevo_bc: float
-    r_infinity: float
-    delta_ec: float
-
-
-def asymptotic_rate(params: ChannelParams, delta_ec: float = 0.0) -> KeyRateResult:
-    """Asymptotic secret bits per pulse for a three-party session.
-
-    Each link contributes link_rate's bits per pulse; the shared group key
-    is capped by the weaker link, hence the min.
+    The links share one key, so the chain runs at the fewest bits per pulse
+    of any link; on a tie the first such link is reported.
     """
-    sift_ab, chi_ab, rate_ab, bits_ab = link_rate(params.mu1, params.eta1, delta_ec)
-    sift_bc, chi_bc, rate_bc, bits_bc = link_rate(params.mu2, params.eta2, delta_ec)
-    return KeyRateResult(
-        rate_ab=rate_ab,
-        rate_bc=rate_bc,
-        sift_ab=sift_ab,
-        sift_bc=sift_bc,
-        holevo_ab=chi_ab,
-        holevo_bc=chi_bc,
-        r_infinity=min(bits_ab, bits_bc),
-        delta_ec=delta_ec,
-    )
+    rates = [link_rate(mu, eta, delta_ec) for mu, eta in links]
+    if not rates:
+        raise UsageError("a chain needs at least one link")
+    index = min(range(len(rates)), key=lambda i: rates[i][3])
+    return index, rates[index]
 
 
 def symmetric_rate(mu: float, eta: float, delta_ec: float = 0.0) -> float:

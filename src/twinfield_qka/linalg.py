@@ -20,10 +20,12 @@ ENTROPY_EIGENVALUE_CLAMP = 1e-12
 
 
 def check_hermitian(op) -> np.ndarray:
-    """Return op as a complex array, raising if any entry pair breaks hermiticity."""
+    """Return op as a complex array, raising on a non-finite entry or broken hermiticity."""
     h = np.asarray(op, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"operator must be a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():  # NaN would pass the tolerance test below
+        raise ValidationError("operator entries must be finite")
     dev = np.abs(h - h.conj().T)
     if dev.max() > HERMITICITY_TOL:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)

@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import PlanningError, UsageError, ValidationError
-from .keyrate import link_rate, transmittance_from_distance
+from .keyrate import asymptotic_rate, transmittance_from_distance
 from .simulation import _as_key_bits
 
 
@@ -307,12 +307,6 @@ def segment_tree(tree_edges) -> list:
     return out
 
 
-def segment_rate(segment: Segment, mu: float, delta_ec: float = 0.0) -> float:
-    """Bits per pulse for one segment under the loss-only analysis: its slowest link."""
-    etas = [transmittance_from_distance(d) for d in segment.arm_distances]
-    return min(link_rate(mu, eta, delta_ec)[3] for eta in etas)
-
-
 def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) -> NetworkPlan:
     """Predict per-segment and network rates; the network runs at the min.
 
@@ -322,7 +316,9 @@ def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) 
     segments = list(segments)
     if not segments:
         raise UsageError("plan_rates needs at least one segment")
-    rates = [segment_rate(s, mu, delta_ec) for s in segments]
+    rates = [asymptotic_rate([(mu, transmittance_from_distance(d)) for d in s.arm_distances],
+                             delta_ec)[1][3]
+             for s in segments]
     worst = min(range(len(segments)), key=lambda i: rates[i])
     membership = {}
     for seg in segments:

@@ -162,6 +162,16 @@ class TestDiscriminateCommand:
         assert dispatch(["discriminate", "--sweep", "distance_km:0:10:3"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["--mu", "nan"], "nan"), (["--mu=-inf"], "-inf"), (["--mu=-0.5"], "-0.5"),
+        (["--sweep", "mu:-1:1:3"], "-1.0"),
+    ])
+    def test_bad_intensity_reported_by_the_library(self, argv, bad, capsys):
+        assert dispatch(["discriminate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: mean photon number must be finite and >= 0, got {bad}\n"
+
 
 class TestSimulateCommand:
     def test_byte_identical_given_seed(self, capsys):
@@ -424,8 +434,11 @@ class TestOutputPinned:
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
          "2d667d74f237b13a9906ecbc3a959f32c38053da6469ce3cabfc2df9ef7f2cfa"),
+        (["simulate", "--format", "csv", "--pulses", "3000000", "--distance-km", "250",
+          "--seed", "11"],
+         "feccc873788e3653244b8f14833fb6583422610957acbe3780f43b02c7f4c762"),
     ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
-            "simulate-json"])
+            "simulate-json", "simulate-csv"])
     def test_stdout(self, argv, digest, capsys):
         assert dispatch(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -35,6 +35,16 @@ class TestBasisCoeffs:
         with pytest.raises(ValidationError):
             basis_coeffs(-0.1)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [
+        basis_coeffs,
+        lambda mu: signal_vector(+1, -1, mu),
+        lambda mu: correlated_mixture(+1, mu),
+    ], ids=["basis_coeffs", "signal_vector", "correlated_mixture"])
+    def test_non_finite_intensity_rejected(self, fn, mu):
+        with pytest.raises(ValidationError, match="must be finite"):
+            fn(mu)
+
 
 class TestSignalVector:
     def test_plus_plus_components(self):

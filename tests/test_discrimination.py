@@ -77,6 +77,14 @@ class TestClosedForms:
             with pytest.raises(ValidationError):
                 fn(-0.01)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [qmin_pair_closed, qmin_triple_closed,
+                                    qmin_pair_closed_hyperbolic, qmin_triple_closed_expanded,
+                                    discriminate])
+    def test_non_finite_mu_rejected(self, fn, mu):
+        with pytest.raises(ValidationError, match="must be finite"):
+            fn(mu)
+
     def test_printed_forms_agree(self):
         for mu in np.linspace(0.002, 2.0, 500):
             assert qmin_pair_closed(mu) == pytest.approx(

@@ -8,7 +8,6 @@ import pytest
 from twinfield_qka.coherent import basis_coeffs, signal_vector
 from twinfield_qka.errors import ImpossibleBranchError, UsageError, ValidationError
 from twinfield_qka.keyrate import (
-    ChannelParams,
     announcement_probability,
     asymptotic_rate,
     eve_conditional_state,
@@ -60,6 +59,11 @@ class TestLossPovm:
             loss_povm(0.0, 0.5)
         with pytest.raises(ValidationError):
             loss_povm(0.2, 1.5)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_intensity_rejected(self, mu):
+        with pytest.raises(ValidationError, match="intensity must be finite"):
+            loss_povm(mu, 0.5)
 
 
 class TestAnnouncementProbability:
@@ -183,19 +187,32 @@ class TestDevetakWinter:
 
 class TestAsymptoticRate:
     def test_symmetric_links_equal_single_link(self):
-        res = asymptotic_rate(ChannelParams(0.2, 0.2, 0.3, 0.3))
-        assert res.r_infinity == pytest.approx(res.sift_ab * res.rate_ab, abs=1e-15)
+        assert asymptotic_rate([(0.2, 0.3), (0.2, 0.3)]) == (0, link_rate(0.2, 0.3))
+        assert asymptotic_rate([(0.2, 0.3)], 0.05) == (0, link_rate(0.2, 0.3, 0.05))
 
     def test_unit_eta_reference_value(self):
         assert symmetric_rate(0.2, 1.0) == pytest.approx(0.11678464061018565, abs=1e-12)
 
     def test_min_semantics(self):
-        strong = ChannelParams(0.2, 0.2, 1.0, 1.0)
-        weak = ChannelParams(0.2, 0.2, 1.0, 1e-3)
-        sift, _, fraction, _ = link_rate(0.2, 1e-3)
-        r_weak_link = sift * fraction
-        assert asymptotic_rate(weak).r_infinity == pytest.approx(r_weak_link, abs=1e-15)
-        assert asymptotic_rate(weak).r_infinity < asymptotic_rate(strong).r_infinity
+        strong = [(0.2, 1.0), (0.2, 1.0)]
+        weak = [(0.2, 1.0), (0.2, 1e-3)]
+        assert asymptotic_rate(weak) == (1, link_rate(0.2, 1e-3))
+        assert asymptotic_rate(weak)[1][3] < asymptotic_rate(strong)[1][3]
+
+    def test_three_links_report_the_slowest(self):
+        links = [(0.2, 0.5), (0.1, 1e-4), (0.3, 1e-2)]
+        assert asymptotic_rate(links, 0.02) == (1, link_rate(0.1, 1e-4, 0.02))
+
+    def test_tie_reports_the_first_link(self):
+        assert asymptotic_rate([(0.3, 1e-2), (0.3, 1e-2), (0.2, 0.5)]) == (
+            0, link_rate(0.3, 1e-2))
+        # Different links that both rate 0: chi = 1 leaves no secret fraction.
+        assert asymptotic_rate([(0.2, 0.5), (5.0, 1e-3), (7.0, 1e-3)]) == (
+            1, link_rate(5.0, 1e-3))
+
+    def test_empty_chain_is_usage_error(self):
+        with pytest.raises(UsageError):
+            asymptotic_rate([])
 
     def test_monotone_in_distance(self):
         rates = [
@@ -229,8 +246,9 @@ class TestLinkRate:
                 assert bits == sift * fraction
 
     def test_two_link_rate_is_the_slower_link(self):
-        res = asymptotic_rate(ChannelParams(0.2, 0.3, 0.5, 1e-3), 0.02)
-        assert res.r_infinity == min(link_rate(0.2, 0.5, 0.02)[3], link_rate(0.3, 1e-3, 0.02)[3])
+        index, rate = asymptotic_rate([(0.2, 0.5), (0.3, 1e-3)], 0.02)
+        assert index == 1
+        assert rate[3] == min(link_rate(0.2, 0.5, 0.02)[3], link_rate(0.3, 1e-3, 0.02)[3])
         assert symmetric_rate(0.3, 1e-3, 0.02) == link_rate(0.3, 1e-3, 0.02)[3]
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -0.1])
@@ -280,21 +298,3 @@ class TestOptimizeIntensity:
         with pytest.raises(UsageError):
             optimize_intensity(0.5, [])
 
-
-class TestChannelParams:
-    def test_from_link_distances(self):
-        params = ChannelParams.from_link_distances(0.2, 0.3, 100.0, 50.0)
-        assert params.eta1 == pytest.approx(0.01, abs=1e-15)
-        assert params.eta2 == pytest.approx(0.1, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ChannelParams(-0.1, 0.2, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            ChannelParams(0.1, 0.2, 0.0, 0.5)
-
-    @pytest.mark.parametrize("mus", [(float("nan"), 0.2), (0.2, float("nan")),
-                                     (float("inf"), 0.2), (0.2, float("inf"))])
-    def test_non_finite_intensity_rejected(self, mus):
-        with pytest.raises(ValidationError, match="must be finite"):
-            ChannelParams(*mus, 0.5, 0.5)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twinfield_qka.discrimination import helstrom_error
 from twinfield_qka.errors import ValidationError
 from twinfield_qka.linalg import (
     binary_entropy,
@@ -67,6 +68,24 @@ class TestEigenvalues:
         for fn in (trace_norm, von_neumann_entropy):
             with pytest.raises(ValidationError, match=r"\(0,2\)"):
                 fn(bad)
+
+
+class TestNonFiniteEntries:
+    """A NaN passes every tolerance comparison, so it has to be rejected by name."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("fn", [
+        trace_norm,
+        von_neumann_entropy,
+        check_density,
+        lambda rho: helstrom_error(rho, np.eye(2) / 2),
+        lambda rho: helstrom_error(np.eye(2) / 2, rho),
+    ], ids=["trace_norm", "von_neumann_entropy", "check_density", "helstrom_first",
+            "helstrom_second"])
+    def test_rejected(self, fn, value):
+        rho = np.array([[value, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValidationError, match="must be finite"):
+            fn(rho)
 
 
 class TestTraceNorm:

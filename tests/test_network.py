@@ -19,7 +19,6 @@ from twinfield_qka.network import (
     plan_network,
     plan_rates,
     reconcile_network,
-    segment_rate,
     segment_tree,
 )
 from twinfield_qka.simulation import reconcile_pair
@@ -495,10 +494,10 @@ class TestPlanRates:
 
     def test_segment_rate_is_its_slowest_link_rate(self):
         pair = Segment(members=(1, 2), center=1, arm_distances=(37.5,))
-        eta = transmittance_from_distance(37.5)
-        assert segment_rate(pair, 0.3, 0.04) == link_rate(0.3, eta, 0.04)[3]
         triple = Segment(members=(1, 2, 3), center=2, arm_distances=(12.0, 61.0))
-        assert segment_rate(triple, 0.3, 0.04) == min(
+        rates = plan_rates([pair, triple], mu=0.3, delta_ec=0.04).per_segment_rate
+        assert rates[0] == link_rate(0.3, transmittance_from_distance(37.5), 0.04)[3]
+        assert rates[1] == min(
             link_rate(0.3, transmittance_from_distance(km), 0.04)[3] for km in (12.0, 61.0)
         )
 

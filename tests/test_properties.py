@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twinfield_qka.keyrate import link_rate  # noqa: E402
+from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.simulation import _block_events, _block_rng, _successes  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive gap samplers
@@ -80,3 +80,14 @@ def test_link_rate_is_finite_and_in_range(mu, eta):
     assert 0.0 <= chi <= 1.0
     assert 0.0 <= fraction <= 1.0
     assert bits >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(links=st.lists(st.tuples(INTENSITIES, TRANSMITTANCES), min_size=1, max_size=6),
+       delta_ec=st.sampled_from([0.0, 0.05, 0.5]))
+def test_asymptotic_rate_is_the_first_slowest_link(links, delta_ec):
+    bits = [link_rate(mu, eta, delta_ec)[3] for mu, eta in links]
+    index, rate = asymptotic_rate(links, delta_ec)
+    assert rate == link_rate(*links[index], delta_ec)
+    assert rate[3] == min(bits)
+    assert index == bits.index(min(bits))
