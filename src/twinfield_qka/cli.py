@@ -88,6 +88,67 @@ def _emit(rows, args) -> None:
         emit_csv(rows, args.out)
 
 
+# --- plan document -----------------------------------------------------------
+
+#: The C encoder with a NUL item separator.  JSON escapes every control
+#: character inside a string, so a raw NUL in its output only ever separates.
+_encode_nul = json.JSONEncoder(separators=("\0", ": ")).encode
+
+_SEGMENT = ('    {{\n      "center": {},\n      "link_km": {},\n      "members": {},\n'
+            '      "rate_per_pulse": {}\n    }}')
+
+
+def _scalars(values) -> list:
+    """The JSON text of each scalar in values, from one encoder call."""
+    return _encode_nul(values)[1:-1].split("\0") if values else []
+
+
+def _array(texts, pad: str) -> str:
+    """Encoded items laid out as json.dumps(indent=2) lays out a list at indent pad."""
+    if not texts:
+        return "[]"
+    item = "\n  " + pad
+    return "[" + item + ("," + item).join(texts) + "\n" + pad + "]"
+
+
+def _rows(rows, pad: str) -> list:
+    """Each of the non-empty rows of scalars laid out as _array does, from one encoder call."""
+    item = ",\n  " + pad
+    return ["[\n  " + pad + row.replace("\0", item) + "\n" + pad + "]"
+            for row in _encode_nul(rows)[2:-2].split("]\0[")]
+
+
+def _plan_json(plan, reconciliation: dict) -> str:
+    """The plan document: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\\n".
+
+    json.dumps runs its pure-Python encoder whenever indent is set.  Here the
+    C encoder writes each column of scalars in one call and only the layout
+    is written in Python.  reconciliation maps plain names to scalars.
+    """
+    n = len(plan.segments)
+    recon = sorted(reconciliation.items())
+    bottleneck, network_rate, *texts = _scalars([
+        plan.bottleneck_distance, plan.network_rate,
+        *plan.intra_announcers, *plan.per_segment_rate, *(v for _, v in recon),
+    ])
+    centers, rates = texts[:n], texts[n:2 * n]  # intra_announcers are the segment centers
+    recon_items = [f'    "{k}": {t}' for (k, _), t in zip(recon, texts[2 * n:])]
+    members = _rows([s.members for s in plan.segments], "      ")
+    link_km = _rows([s.arm_distances for s in plan.segments], "      ")
+    return (
+        "{\n"
+        f'  "bottleneck_km": {bottleneck},\n'
+        f'  "inter_announcers": {_array(_scalars(plan.inter_announcers), "  ")},\n'
+        f'  "intra_announcers": {_array(centers, "  ")},\n'
+        f'  "network_rate_per_pulse": {network_rate},\n'
+        '  "reconciliation": {\n' + ",\n".join(recon_items) + "\n  },\n"
+        '  "segments": [\n' + ",\n".join(map(_SEGMENT.format, centers, link_km, members, rates))
+        + "\n  ],\n"
+        f'  "tree_edges": {_array(_rows(plan.tree_edges, "    "), "  ")}\n'
+        "}\n"
+    )
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -205,13 +266,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _segment_keys(rng, n_segments: int, n_bits: int) -> np.ndarray:
+    """One row of n_bits random bits per segment, as a loop drawing each row would.
+
+    numpy fills a uint8 draw from whole 32-bit words and starts a fresh word
+    on every call, so one draw of rows padded to a multiple of four bytes
+    consumes the stream exactly as n_segments draws of n_bits do.
+    """
+    padded = -(-n_bits // 4) * 4
+    return rng.integers(0, 2, (n_segments, padded), dtype=np.uint8)[:, :n_bits]
+
+
 def _all_converge(keys, global_key, announcements) -> bool:
     """derive_global_key's verdict for every segment, in one pass over the announcements."""
     n_bits = len(global_key)
     path = {0: np.zeros(n_bits, dtype=np.uint8)}  # XOR of the announcements up to segment 0
     for par, child, bits in announcements:  # every parent is listed before its children
         path[child] = path[par] ^ bits
-    return all(np.array_equal(key[:n_bits] ^ path[i], global_key) for i, key in enumerate(keys))
+    paths = np.array([path[i] for i in range(len(keys))])
+    return bool(((np.asarray(keys)[:, :n_bits] ^ paths) == global_key).all())
 
 
 def _cmd_plan(args) -> int:
@@ -230,35 +303,19 @@ def _cmd_plan(args) -> int:
         raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
     if args.key_length < 1:
         raise UsageError("--key-length must be >= 1")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     plan = plan_network(graph, mu=args.mu, delta_ec=args.delta_ec)
 
-    rng = np.random.default_rng(args.seed)
-    keys = [rng.integers(0, 2, args.key_length, dtype=np.uint8) for _ in plan.segments]
+    keys = _segment_keys(np.random.default_rng(args.seed), len(plan.segments), args.key_length)
     global_key, announcements = reconcile_network(keys, plan)
-    converge = _all_converge(keys, global_key, announcements)
-    doc = {
-        "tree_edges": [[a, b, km] for a, b, km in plan.tree_edges],
-        "segments": [
-            {
-                "members": list(s.members),
-                "center": s.center,
-                "link_km": list(s.arm_distances),
-                "rate_per_pulse": r,
-            }
-            for s, r in zip(plan.segments, plan.per_segment_rate)
-        ],
-        "intra_announcers": list(plan.intra_announcers),
-        "inter_announcers": list(plan.inter_announcers),
-        "bottleneck_km": plan.bottleneck_distance,
-        "network_rate_per_pulse": plan.network_rate,
-        "reconciliation": {
-            "key_length": args.key_length,
-            "announcements": len(announcements),
-            "all_parties_converge": bool(converge),
-            "global_key_sha256": hashlib.sha256(global_key.tobytes()).hexdigest(),
-        },
+    reconciliation = {
+        "key_length": args.key_length,
+        "announcements": len(announcements),
+        "all_parties_converge": _all_converge(keys, global_key, announcements),
+        "global_key_sha256": hashlib.sha256(global_key.tobytes()).hexdigest(),
     }
-    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _write_text(_plan_json(plan, reconciliation), args.out)
     return 0
 
 

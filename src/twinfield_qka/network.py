@@ -15,6 +15,10 @@ connected graph with an even number of edges splits into paths of length
 two), and a leaf-up walk that pairs the open child edges at each party and
 hands any odd one to the parent edge finds one.  The walk is a loop, not a
 recursion, and costs O(N log N) for sorting neighbours by id.
+
+The tree itself comes from Kruskal over the edges sorted by length, which
+stops as soon as it holds N-1 edges: on a complete coordinate graph that is
+about a quarter of the N(N-1)/2 candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -127,10 +131,16 @@ class PartyGraph:
                 raise ValidationError(
                     f"parties without coordinates need explicit edges: {missing}"
                 )
-            edges = [
-                (a, b, math.dist(coords[a], coords[b]))
-                for a, b in combinations(ids, 2)
-            ]
+            # Listed ids and float distances: only coincident parties (0 km)
+            # and an overflow (inf km) can make an edge invalid.
+            kms = list(starmap(math.dist, combinations([coords[p] for p in ids], 2)))
+            edges = [(a, b, km) for (a, b), km in zip(combinations(ids, 2), kms)]
+            if kms and not (min(kms) > 0 and max(kms) < math.inf):
+                a, b, km = next(e for e in edges if not 0 < e[2] < math.inf)
+                raise ValidationError(
+                    f"edge ({a!r}, {b!r}) must have a finite distance > 0, got {km!r}"
+                )
+            return cls(parties=tuple(ids), edges=tuple(edges))
         clean = []
         for edge in edges:
             try:
@@ -168,9 +178,11 @@ class PartyGraph:
             if isinstance(entry, dict):
                 if "id" not in entry:
                     raise ValidationError(f"party entry missing id: {entry!r}")
-                pid = _scalar_id(entry["id"])
+                pid = entry["id"]  # build checks it
                 if "x" in entry and "y" in entry:
                     parties.append((pid, entry["x"], entry["y"]))
+                elif isinstance(pid, list):  # build would read it as an (id, x, y) triple
+                    _scalar_id(pid)  # raises
                 else:
                     parties.append(pid)
             else:
@@ -191,8 +203,8 @@ def minimum_network(graph: PartyGraph) -> list:
     """Minimum-total-length spanning tree edges, via Kruskal.
 
     Ties are broken by (distance, smaller id pair) so the result is
-    deterministic.  Raises PlanningError listing the components when the
-    graph is disconnected.
+    deterministic.  The scan stops once the tree has N-1 edges.  Raises
+    PlanningError listing the components when the graph is disconnected.
     """
     key = {p: _id_key(p) for p in graph.parties}  # edge endpoints are listed ids
     ranked = []
@@ -212,13 +224,16 @@ def minimum_network(graph: PartyGraph) -> list:
             x = parent[x]
         return x
 
+    n_edges = len(graph.parties) - 1
     tree = []
     for km, _, _, a, b in ranked:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             tree.append((a, b, km))
-    if len(tree) != len(graph.parties) - 1:
+            if len(tree) == n_edges:
+                break
+    if len(tree) != n_edges:
         comps = {}
         for p in graph.parties:
             comps.setdefault(find(p), []).append(p)
@@ -292,9 +307,9 @@ def segment_tree(tree_edges) -> list:
         kids = open_kids.pop(v)[::-1]
         for i in range(0, len(kids) - 1, 2):
             out.append(triple(kids[i], v, kids[i + 1]))
-        up = parent[v]
+        up = parent[v]  # None for the root, and also for a child of the party None
         if len(kids) % 2:
-            if up is not None:
+            if v is not root:
                 out.append(triple(kids[-1], v, up))
             else:
                 a, b = v, kids[-1]  # the root has the smallest id
@@ -302,7 +317,7 @@ def segment_tree(tree_edges) -> list:
                 # shared iff another tree edge, and so another segment, meets it.
                 center = b if len(adj[a]) == 1 < len(adj[b]) else a
                 out.append(Segment(members=(a, b), center=center, arm_distances=(dist[(a, b)],)))
-        elif up is not None:
+        elif v is not root:
             open_kids[up].append(v)
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from twinfield_qka import cli, simulation
-from twinfield_qka.cli import _all_converge, dispatch, emit_csv, parse_sweep
+from twinfield_qka.cli import _all_converge, _segment_keys, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
@@ -52,6 +52,24 @@ DEMO_MAP_JSON = json.dumps(
         ]
     }
 )
+
+
+#: Coordinate parties whose ids need escapes in JSON (a quote, a backslash,
+#: NUL, a comma, a bracket, non-ASCII), an int beyond 2**53, null and true.
+ODD_IDS_JSON = json.dumps({"parties": [
+    {"id": 'quote"d', "x": 0.0, "y": 0.0},
+    {"id": "back\\slash", "x": 7.5, "y": 1.25},
+    {"id": "nul\x00byte", "x": 15.0, "y": -3.0},
+    {"id": "comma,", "x": 22.0, "y": 4.5},
+    {"id": "bracket]", "x": 9.0, "y": 12.0},
+    {"id": "]\x00[", "x": 30.5, "y": 0.5},
+    {"id": "Z\u00fcrich", "x": 3.0, "y": 20.0},
+    {"id": "\u6771\u4eac", "x": 18.0, "y": 18.0},
+    {"id": 2**53 + 1, "x": 40.0, "y": 9.0},
+    {"id": None, "x": 52.0, "y": 16.0},
+    {"id": True, "x": 35.0, "y": -6.0},
+    {"id": 7.5, "x": 46.0, "y": 2.0},
+]})
 
 
 def read_csv(text):
@@ -268,14 +286,40 @@ class TestPlanCommand:
         assert dispatch(["plan", str(net)]) == 0
         assert capsys.readouterr().out == first
 
-    @pytest.mark.parametrize("net, digest", [
-        (FIG_SEVEN_JSON, "639ceb3a087ceac19a4fed639848ecdb8a2f562915490203cc814e6cb65f15e8"),
-        (DEMO_MAP_JSON, "dde831670bd5fbb46a66509a8fcb5480a7f22ecf8d63aa677fd63c86aa98f165"),
-    ], ids=["fig-seven", "demo-map"])
-    def test_output_pinned(self, net, digest, capsys, monkeypatch):
+    @pytest.mark.parametrize("net, flags, digest", [
+        (FIG_SEVEN_JSON, [],
+         "639ceb3a087ceac19a4fed639848ecdb8a2f562915490203cc814e6cb65f15e8"),
+        (DEMO_MAP_JSON, [],
+         "dde831670bd5fbb46a66509a8fcb5480a7f22ecf8d63aa677fd63c86aa98f165"),
+        (ODD_IDS_JSON, ["--key-length", "37"],
+         "162df82584263cf527c5f5f0b72098e3f119822e48f7b563ceb6e4e2896670bd"),
+    ], ids=["fig-seven", "demo-map", "odd-ids"])
+    def test_output_pinned(self, net, flags, digest, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(net))
-        assert dispatch(["plan", "-", "--seed", "3"]) == 0
+        assert dispatch(["plan", "-", "--seed", "3", *flags]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = tmp_path / "plan.json"
+        monkeypatch.setattr("sys.stdin", io.StringIO(net))
+        assert dispatch(["plan", "-", "--seed", "3", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_bits", range(1, 41))
+    def test_segment_keys_match_one_draw_per_segment(self, n_bits):
+        for seed in (0, 1, 7, 2**40 + 3):
+            for n_segments in (1, 2, 5):
+                rng = np.random.default_rng(seed)
+                loop = [rng.integers(0, 2, n_bits, dtype=np.uint8) for _ in range(n_segments)]
+                keys = _segment_keys(np.random.default_rng(seed), n_segments, n_bits)
+                assert keys.shape == (n_segments, n_bits) and keys.dtype == np.uint8
+                assert np.array_equal(keys, np.array(loop))
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text(FIG_SEVEN_JSON)
+        assert dispatch(["plan", str(net), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_edge_endpoints_print_as_listed_ids(self, capsys, monkeypatch):
         # true == 1 and 2.0 == 2: the edges name parties 1 and 2 by other types.
@@ -481,6 +525,7 @@ class TestOutOfRangeInputs:
         ["discriminate", "--mu", "1e300"],
         ["discriminate", "--sweep", "mu:0:1000:3"],
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
+        ["plan", "NET", "--seed", "-1"],
         ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
         ["plan", "DEEP_PARTIES"],
         ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0

@@ -1,6 +1,7 @@
 """Unit tests for network planning and cross-segment reconciliation."""
 
 import heapq
+import math
 import time
 from itertools import combinations
 
@@ -149,6 +150,10 @@ class TestPartyGraph:
         dists = {frozenset((a, b)): km for a, b, km in g.edges}
         assert dists[frozenset(("a", "b"))] == pytest.approx(5.0)
         assert len(g.edges) == 3
+        parties = [("a", 0.5, -2.0), (2, 3.0, 4.0), (None, -7.25, 1e3), (7.5, 0.0, 0.1)]
+        assert PartyGraph.build(parties).edges == tuple(
+            (p, q, math.dist(pxy, qxy)) for (p, *pxy), (q, *qxy) in combinations(parties, 2)
+        )
 
     @pytest.mark.parametrize("km", ["x", True, None, float("nan"), float("inf")])
     def test_bad_distance_rejected(self, km):
@@ -182,6 +187,16 @@ class TestPartyGraph:
                 ' {"id": 3, "x": 0, "y": 5}]}' % token)
         with pytest.raises(ValidationError, match="finite"):
             PartyGraph.from_json(text)
+
+    @pytest.mark.parametrize("parties, message", [
+        ([("a", 0, 0), ("b", 3, 4), ("c", 3, 4)],  # coincident parties
+         r"edge \('b', 'c'\) must have a finite distance > 0, got 0.0"),
+        ([("a", -1e308, 0), ("b", 0, 0), ("c", 1e308, 0)],  # a distance beyond the float range
+         r"edge \('a', 'c'\) must have a finite distance > 0, got inf"),
+    ])
+    def test_coordinate_distance_out_of_range_rejected(self, parties, message):
+        with pytest.raises(ValidationError, match=message):
+            PartyGraph.build(parties)
 
     def test_json_parsing(self):
         text = """
@@ -417,6 +432,15 @@ class TestSegmentTree:
                 others = {p for s in segments if s is not pair for p in s.members}
                 shared = [p for p in sorted(pair.members) if p in others]
                 assert pair.center == (shared[0] if shared else min(pair.members))
+
+    @pytest.mark.parametrize("edges", [
+        [(1, None, 1.0), (None, 2, 2.0), (2, 3, 3.0)],  # None inside the tree
+        [(None, "a", 1.0), ("a", "b", 2.0), ("b", "c", 3.0)],  # None is the root
+        [(None, "a", 1.0), ("a", "b", 2.0)],
+    ])
+    def test_none_id_is_a_party_like_any_other(self, edges):
+        # A child of the party None was once taken for the root, whose parent is None.
+        assert_valid_decomposition(edges, segment_tree(edges))
 
     def test_bool_and_string_ids_mix(self):
         # JSON ids may be booleans; they sort with the strings, not the numbers.

@@ -1,5 +1,8 @@
 """Property tests: invariants that must hold for every input, not just sampled ones."""
 
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
+from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
 from twinfield_qka.simulation import _block_events, _block_rng, _successes  # noqa: E402
+from test_network import ID_SLOTS  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive gap samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -91,3 +97,57 @@ def test_asymptotic_rate_is_the_first_slowest_link(links, delta_ec):
     assert rate == link_rate(*links[index], delta_ec)
     assert rate[3] == min(bits)
     assert index == bits.index(min(bits))
+
+
+#: Ids whose JSON text needs escapes, or would hold the writer's NUL and
+#: bracket separators if a string did not escape its control characters.
+ESCAPE_IDS = ['"', "\\", "\0", ",", "[", "]", "]\0[", "\0]", "\u00fc", "\u6771\u4eac",
+              "\x1f", "\u2028", "\ud800", ""]
+PARTY_IDS = st.one_of(
+    st.sampled_from([v for slot in ID_SLOTS for v in slot] + ESCAPE_IDS),
+    st.text(max_size=4),
+)
+
+
+def plan_doc(plan, reconciliation):
+    """The plan document as a dict, for json.dumps to write: the writer's oracle."""
+    return {
+        "tree_edges": [[a, b, km] for a, b, km in plan.tree_edges],
+        "segments": [
+            {"members": list(s.members), "center": s.center,
+             "link_km": list(s.arm_distances), "rate_per_pulse": r}
+            for s, r in zip(plan.segments, plan.per_segment_rate)
+        ],
+        "intra_announcers": list(plan.intra_announcers),
+        "inter_announcers": list(plan.inter_announcers),
+        "bottleneck_km": plan.bottleneck_distance,
+        "network_rate_per_pulse": plan.network_rate,
+        "reconciliation": reconciliation,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(PARTY_IDS, min_size=2, max_size=14, unique=True),
+       coordinates=st.booleans(), km_scale=st.sampled_from([1.0, 30.0, 400.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
+    rng = np.random.default_rng(seed)
+    n = len(ids)
+    if coordinates:
+        xy = rng.uniform(-km_scale, km_scale, (n, 2))
+        graph = PartyGraph.build([(p, x, y) for p, (x, y) in zip(ids, xy)])
+    else:  # a random spanning tree, with integer lengths that tie, plus extra edges
+        edges = [(ids[i], ids[int(rng.integers(i))], float(rng.integers(1, 5)) * km_scale)
+                 for i in range(1, n)]
+        edges += [(ids[i], ids[j], float(rng.uniform(1, 5)) * km_scale)
+                  for i, j in combinations(range(n), 2) if rng.random() < 0.3]
+        graph = PartyGraph.build(ids, edges)
+    plan = plan_network(graph, mu=float(rng.uniform(0.05, 0.5)))
+    reconciliation = {
+        "key_length": int(rng.integers(1, 2**40)),
+        "announcements": len(plan.segments) - 1,
+        "all_parties_converge": bool(rng.random() < 0.5),
+        "global_key_sha256": bytes(rng.integers(0, 256, 32, dtype=np.uint8)).hex(),
+    }
+    text = _plan_json(plan, reconciliation)
+    assert text == json.dumps(plan_doc(plan, reconciliation), indent=2, sort_keys=True) + "\n"
