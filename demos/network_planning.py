@@ -60,7 +60,7 @@ rng = np.random.default_rng(7)
 keys = [rng.integers(0, 2, 128, dtype=np.uint8) for _ in plan.segments]
 global_key, announcements = reconcile_network(keys, plan)
 everyone_agrees = all(
-    np.array_equal(derive_global_key(plan, announcements, i, keys[i]), global_key)
+    np.array_equal(derive_global_key(announcements, i, keys[i]), global_key)
     for i in range(len(keys))
 )
 print(f"\n{len(announcements)} public XOR announcements chain the segments")

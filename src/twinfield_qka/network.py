@@ -414,7 +414,7 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     return keys[0], announcements
 
 
-def derive_global_key(plan: NetworkPlan, announcements, segment_index: int, segment_key):
+def derive_global_key(announcements, segment_index: int, segment_key):
     """Recover the group key from one segment's own key plus the announcements."""
     parent = {child: (par, bits) for par, child, bits in announcements}
     key = _as_key_bits(segment_key)

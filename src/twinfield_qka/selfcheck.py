@@ -111,7 +111,7 @@ def check_network_roundtrip():
     global_key, announcements = network.reconcile_network(keys, plan)
     ok = len(plan.segments) == 3
     for i, key in enumerate(keys):
-        derived = network.derive_global_key(plan, announcements, i, key)
+        derived = network.derive_global_key(announcements, i, key)
         ok = ok and np.array_equal(derived, global_key)
     return "7-party plan and key reconciliation", ok, (
         f"{len(plan.segments)} segments, centers {plan.intra_announcers}"

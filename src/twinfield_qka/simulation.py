@@ -25,9 +25,9 @@ node), as one merged stream per block: their number, then per event a label
 (AB only, both or BC only), Bob's bit and, per node, an error flag.  That is
 the law of drawing every pulse and applying the click rule above (the
 per-pulse oracle in `tests/test_simulation.py` checks this), at a cost that
-follows the events, not the pulses.  Error flags are the sparse successes of
-Bernoulli trials over a node's events, with geometric gaps by inversion of
-standard exponentials.  Per-block PCG64 streams keyed by
+follows the events, not the pulses.  A node's error flags over its m events
+are a Binomial(m, q) count placed on a uniformly random subset of the events,
+which is m independent Bernoulli(q) flags.  Per-block PCG64 streams keyed by
 (seed, block_index) make a session bit-for-bit reproducible however the
 pulse loop is chunked.
 """
@@ -84,7 +84,7 @@ class SessionConfig:
             if not 0.0 <= p < 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1), got {p!r}")
         if self.seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @classmethod
     def equal_arms(cls, n_pulses: int, mu: float, total_km: float, **kwargs) -> "SessionConfig":
@@ -120,36 +120,6 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _successes(rng, n: int, p: float) -> np.ndarray:
-    """Sorted int64 indices of the successes among n Bernoulli(p) trials.
-
-    The gaps between successes are geometric, drawn by inversion from
-    standard exponentials E as floor(E / -log1p(-p)) + 1, in batches until
-    one passes n.  Gaps are capped at n + 1, so the float64 running sums
-    stay exact integers (below about 2^41 for BLOCK_SIZE trials).  Dividing
-    (by inf when p == 1) rather than multiplying by the reciprocal keeps
-    0 * inf = NaN out.
-    """
-    if p == 0 or n == 0:
-        return np.empty(0, dtype=np.int64)
-    rate = -math.log1p(-p) if p < 1 else math.inf
-    batches, last = [], -1.0
-    while last < n:
-        mean = (n - last) * p
-        pos = rng.standard_exponential(int(mean + 5.0 * math.sqrt(mean) + 16))
-        with np.errstate(over="ignore"):  # a tiny p overflows to inf, capped below
-            pos /= rate
-        np.floor(pos, out=pos)
-        np.minimum(pos, n, out=pos)
-        pos += 1.0
-        pos[0] += last
-        np.cumsum(pos, out=pos)
-        batches.append(pos)
-        last = pos[-1]
-    pos = np.concatenate(batches) if len(batches) > 1 else batches[0]
-    return pos[: np.searchsorted(pos, n)].astype(np.int64)
-
-
 def _block_events(rng, cnt: int, laws):
     """Per node law (P(conclusive), P(error | conclusive)): event indices, Bob's bits, errors.
 
@@ -161,8 +131,8 @@ def _block_events(rng, cnt: int, laws):
     [AB only | both | BC only] of [0, 1), and one packed bit per event is
     Bob's.  A node's indices are its events' places in that merged stream:
     sorted, and shared by the two nodes exactly at the events conclusive at
-    both.  The error flags are the successes among each node's events, drawn
-    sparsely by _successes.
+    both.  A node's error flags are a Binomial(m, q) count of its m events,
+    placed on a uniformly random subset of them: m Bernoulli(q) flags.
     """
     (pa, qa), (pb, qb) = laws
     p_any = pa + pb * (1.0 - pa)  # never above 1, and exactly 1 when pa or pb is
@@ -173,8 +143,9 @@ def _block_events(rng, cnt: int, laws):
     ab, ab_only = (pa / p_any, pa * (1.0 - pb) / p_any) if p_any else (0.0, 0.0)
     events = []
     for idx, q in ((np.flatnonzero(u < ab), qa), (np.flatnonzero(u >= ab_only), qb)):
-        err = np.zeros(len(idx), dtype=bool)
-        err[_successes(rng, len(idx), q)] = True
+        m = len(idx)
+        err = np.zeros(m, dtype=bool)
+        err[rng.choice(m, rng.binomial(m, q), replace=False, shuffle=False)] = True
         events.append((idx, bob[idx], err))
     return events
 
@@ -250,7 +221,7 @@ def reconcile_pair(k_ab, k_bc):
     b = _as_key_bits(k_bc)
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    return (a ^ b).astype(np.uint8), a, b
+    return a ^ b, a, b
 
 
 def _as_key_bits(bits) -> np.ndarray:

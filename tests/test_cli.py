@@ -258,11 +258,11 @@ class TestSimulateCommand:
         assert len(calls) == 4
         assert capsys.readouterr().err == (
             "conclusive AB / BC        4484 / 4545\n"
-            "qber AB / BC              0.000223015 / 0\n"
-            "sifted rate (bottleneck)  0.02242\n"
+            "qber AB / BC              0.000223015 / 0.000440044\n"
+            "sifted rate (bottleneck)  0.022725\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00347927\n"
-            "secret key rate bps       3.47927e+06\n"
+            "secret key rate /pulse    0.00346947\n"
+            "secret key rate bps       3.46947e+06\n"
         )
 
 
@@ -445,7 +445,7 @@ class TestPlanCommand:
                 keys[i] = keys[i].copy()
                 keys[i][int(rng.integers(24))] ^= 1
             oracle = all(
-                np.array_equal(derive_global_key(plan, announcements, i, key), global_key)
+                np.array_equal(derive_global_key(announcements, i, key), global_key)
                 for i, key in enumerate(keys)
             )
             assert _all_converge(keys, global_key, announcements) == oracle
@@ -477,10 +477,10 @@ class TestOutputPinned:
         (["discriminate", "--sweep", "mu:0.01:1.5:150"],
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "2d667d74f237b13a9906ecbc3a959f32c38053da6469ce3cabfc2df9ef7f2cfa"),
+         "1dafd508bb2295b5992f21550e58c3fc07918068c467107dcbe541793fa7cd31"),
         (["simulate", "--format", "csv", "--pulses", "3000000", "--distance-km", "250",
           "--seed", "11"],
-         "feccc873788e3653244b8f14833fb6583422610957acbe3780f43b02c7f4c762"),
+         "bdaa711a1b518db7271b31656ad98746dd6af2d387760c8f7b36228cb6dffe94"),
     ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
             "simulate-json", "simulate-csv"])
     def test_stdout(self, argv, digest, capsys):
@@ -531,6 +531,7 @@ class TestOutOfRangeInputs:
         ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0
         ["simulate", "--arm-km", "0", "0", "8100", "8100"],
         ["simulate", "--distance-km", "100000"],
+        ["simulate", "--seed", "-1"],
     ])
     def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
         networks = {
@@ -547,6 +548,16 @@ class TestOutOfRangeInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["simulate"], "error: seed must be a non-negative integer, got -1\n"),
+        (["plan", "NET"], "error: --seed must be a non-negative integer, got -1\n"),
+    ], ids=["simulate", "plan"])
+    def test_negative_seed_names_the_value(self, argv, err, tmp_path, capsys):
+        (tmp_path / "NET").write_text(FIG_SEVEN_JSON)
+        argv = [str(tmp_path / a) if a == "NET" else a for a in argv]
+        assert dispatch([*argv, "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == err
 
 
 class TestHugeIntensityAtZeroKm:

@@ -540,7 +540,7 @@ class TestKeyBits:
         "reconcile_pair": lambda key, plan: reconcile_pair(key, TestKeyBits.ZEROS)[0],
         "reconcile_network": lambda key, plan: reconcile_network([key, TestKeyBits.ZEROS], plan)[0],
         "derive_global_key": lambda key, plan: derive_global_key(
-            plan, reconcile_network([TestKeyBits.ZEROS] * 2, plan)[1], 1, key),
+            reconcile_network([TestKeyBits.ZEROS] * 2, plan)[1], 1, key),
     }
 
     @staticmethod
@@ -575,7 +575,7 @@ class TestReconcileNetwork:
         assert len(announcements) == 1
         _, _, bits = announcements[0]
         np.testing.assert_array_equal(bits, [1, 1, 0, 1])
-        np.testing.assert_array_equal(derive_global_key(plan, announcements, 1, s2), s1)
+        np.testing.assert_array_equal(derive_global_key(announcements, 1, s2), s1)
 
     def test_single_segment_no_announcements(self):
         plan = plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), 0.2)
@@ -593,7 +593,7 @@ class TestReconcileNetwork:
         assert len(announcements) == 2
         for i, key in enumerate(keys):
             np.testing.assert_array_equal(
-                derive_global_key(plan, announcements, i, key), global_key
+                derive_global_key(announcements, i, key), global_key
             )
 
     def test_keys_truncated_to_shortest(self):
@@ -620,7 +620,7 @@ class TestReconcileNetwork:
             global_key, announcements = reconcile_network(keys, plan)
             for i, key in enumerate(keys):
                 np.testing.assert_array_equal(
-                    derive_global_key(plan, announcements, i, key), global_key
+                    derive_global_key(announcements, i, key), global_key
                 )
             done += 1
 

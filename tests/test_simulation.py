@@ -20,7 +20,6 @@ from twinfield_qka.simulation import (
     SessionConfig,
     _block_events,
     _block_rng,
-    _successes,
     background_click_probability,
     reconcile_pair,
     run_session,
@@ -449,12 +448,6 @@ class TestEventSampling:
         for pos, bob, err in _block_events(_block_rng(9, 0), BLOCK_SIZE,
                                            [(1e-300, 0.0), (5e-324, 0.0)]):
             assert len(pos) == len(bob) == len(err) == 0
-        # Gaps overflow to inf here and are capped; summing them must not
-        # give positions that never pass the block.
-        for p in (1e-300, 5e-324):
-            rng = CountingRng(_block_rng(9, 0))
-            assert len(_successes(rng, BLOCK_SIZE, p)) == 0
-            assert rng.calls == {"standard_exponential": 1}
 
     def test_cost_follows_the_events(self):
         # About 2 events in the block: a per-pulse draw of any kind would
@@ -487,31 +480,24 @@ class TestEventSampling:
 
 
 class TestSuccesses:
-    """_successes against the law of n Bernoulli(p) trials."""
+    """Each node's error flags against the law of Bernoulli(q) trials over its events.
 
-    @pytest.mark.parametrize("n, p", [(1000, 0.0), (0, 0.5), (0, 1.0), (0, 0.0)])
-    def test_empty_without_draws(self, n, p):
-        rng = _block_rng(5, 0)
-        out = _successes(rng, n, p)
-        assert out.dtype == np.int64 and len(out) == 0
-        assert np.array_equal(rng.random(8), _block_rng(5, 0).random(8))
-
-    @pytest.mark.parametrize("n", [1, 7, 5000])
-    def test_certain_success_is_every_trial(self, n):
-        out = _successes(_block_rng(6, 0), n, 1.0)
-        assert out.dtype == np.int64
-        assert np.array_equal(out, np.arange(n))
+    With laws [(1.0, q), (0.0, 0.0)] every pulse of the block is an AB event,
+    so the AB flags are BLOCK_SIZE trials.
+    """
 
     @pytest.mark.parametrize("p", [1e-300, 5e-324])
     def test_vanishing_p_has_no_successes(self, p):
-        assert len(_successes(_block_rng(7, 0), BLOCK_SIZE, p)) == 0
+        (_, _, err), _ = _block_events(_block_rng(7, 0), BLOCK_SIZE, [(1.0, p), (0.0, 0.0)])
+        assert len(err) == BLOCK_SIZE and not err.any()
 
     @pytest.mark.parametrize("p", [1e-3, 0.0222, 0.3, 0.5, 0.9])
     def test_count_and_gaps_follow_bernoulli_trials(self, p):
         n, blocks = BLOCK_SIZE, 4
         gaps, count = [], 0
         for bi in range(blocks):
-            pos = _successes(_block_rng(int(p * 1e4), bi), n, p)
+            (_, _, err), _ = _block_events(_block_rng(int(p * 1e4), bi), n, [(1.0, p), (0.0, 0.0)])
+            pos = np.flatnonzero(err)
             count += len(pos)
             gaps.append(np.diff(pos, prepend=-1))
         total = n * blocks
