@@ -6,12 +6,15 @@ This script sweeps the pulse intensity and compares two routes to her
 minimum error probability:
 
 * the numeric trace-norm bound evaluated on the explicitly constructed
-  4x4 mixtures (comes out as exp(-4 mu)/2), and
+  4x4 mixtures (comes out as exp(-4 mu)/2): the minimum error for the
+  states as built, and
 * the analytic closed form (3 + exp(-4 mu))/8 published for this protocol
-  family, together with its two-node version for three parties.
+  family: the same Helstrom formula on the mixtures taken at trace 1/2,
+  with one 2x2 block made equal between them.
 
-The two routes do NOT agree for the mixtures as constructed here; the
-package keeps both visible, and so does this plot.
+Each route's two-node (three-party) version composes it with itself,
+compose_error(q, q).  The two routes do NOT agree; the package keeps both
+visible, and so does this plot.
 
 Run:  python3 demos/discrimination_bounds.py
 """
@@ -22,15 +25,17 @@ from twinfield_qka import compose_error, discriminate
 
 mus = np.linspace(0.0, 1.5, 151)
 results = [discriminate(mu) for mu in mus]
+closed_triple = [compose_error(r.q_closed_pair, r.q_closed_pair) for r in results]
 
 print(f"{'mu':>6} {'trace-norm':>12} {'closed pair':>12} {'closed triple':>14}")
 for mu in (0.0, 0.1, 0.2, 0.5, 1.0, 1.5):
     r = discriminate(mu)
-    print(f"{mu:6.2f} {r.q_helstrom:12.6f} {r.q_closed_pair:12.6f} {r.q_closed_triple:14.6f}")
+    triple = compose_error(r.q_closed_pair, r.q_closed_pair)
+    print(f"{mu:6.2f} {r.q_helstrom:12.6f} {r.q_closed_pair:12.6f} {triple:14.6f}")
 
 # For every intensity the three-party protocol forces more announcement
 # errors on the node operator than a single two-party link.
-assert all(r.q_closed_triple > r.q_closed_pair for r in results if r.mu > 0)
+assert all(t > r.q_closed_pair for r, t in zip(results, closed_triple) if r.mu > 0)
 print("\nthree-party error stays above the two-party error for every mu > 0")
 
 try:
@@ -44,7 +49,7 @@ else:
     fig, ax = plt.subplots(figsize=(7, 4.5))
     ax.plot(mus, [r.q_helstrom for r in results], label="trace-norm bound, one node")
     ax.plot(mus, [r.q_closed_pair for r in results], "--", label="closed form, one node")
-    ax.plot(mus, [r.q_closed_triple for r in results], "-.", label="closed form, two nodes")
+    ax.plot(mus, closed_triple, "-.", label="closed form, two nodes")
     ax.plot(
         mus,
         [compose_error(r.q_helstrom, r.q_helstrom) for r in results],

@@ -23,10 +23,10 @@ from twinfield_qka import (
 )
 from twinfield_qka.simulation import format_session_result
 
-config = SessionConfig.equal_arms(
+config = SessionConfig(
     n_pulses=2_000_000,
     mu=0.2,
-    total_km=100.0,
+    arm_lengths=(100.0 / 4,) * 4,  # 100 km of fiber split evenly over the four arms
     seed=2024,
 )
 result = run_session(config)

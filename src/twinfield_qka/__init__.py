@@ -21,7 +21,6 @@ from .discrimination import (
     discriminate,
     helstrom_error,
     qmin_pair_closed,
-    qmin_triple_closed,
 )
 from .errors import ImpossibleBranchError, PlanningError, UsageError, ValidationError
 from .keyrate import (

@@ -153,6 +153,12 @@ def _plan_json(plan, reconciliation: dict) -> str:
 
 
 def _cmd_discriminate(args) -> int:
+    """One row of error probabilities per mu.
+
+    q_helstrom_pair is the minimum error for the mixtures as built and
+    q_pair_closed the published closed form; each _triple column composes
+    its pair column over two independent nodes.
+    """
     if args.sweep is not None:
         variable, mus = parse_sweep(args.sweep)
         if variable != "mu":
@@ -168,7 +174,7 @@ def _cmd_discriminate(args) -> int:
                 "q_helstrom_pair": res.q_helstrom,
                 "q_helstrom_triple": compose_error(res.q_helstrom, res.q_helstrom),
                 "q_pair_closed": res.q_closed_pair,
-                "q_triple_closed": res.q_closed_triple,
+                "q_triple_closed": compose_error(res.q_closed_pair, res.q_closed_pair),
             }
         )
     _emit(rows, args)
@@ -255,7 +261,6 @@ def _cmd_simulate(args) -> int:
         },
         "result": summary,
     }
-    print(format_session_result(result), file=sys.stderr)
     if args.format == "csv":
         counts = summary["conclusive_counts"]
         flat = {"conclusive_ab": counts["AB"], "conclusive_bc": counts["BC"],
@@ -263,6 +268,7 @@ def _cmd_simulate(args) -> int:
         emit_csv([flat], args.out)
     else:
         _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    print(format_session_result(result), file=sys.stderr)  # only once the output is written
     return 0
 
 

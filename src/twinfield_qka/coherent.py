@@ -23,15 +23,15 @@ from .errors import ValidationError
 from .linalg import outer
 
 
+#: The two sign pairs (sa, sb) of each parity sa * sb.
+SIGN_PAIRS = {+1: ((+1, +1), (-1, -1)), -1: ((+1, -1), (-1, +1))}
+
+
 def sign_value(s) -> int:
-    """Normalize a phase-sign argument to +1 or -1 (accepts '+'/'-' too)."""
+    """Normalize a phase-sign argument to the int +1 or -1."""
     if s in (+1, -1):
         return int(s)
-    if s == "+":
-        return +1
-    if s == "-":
-        return -1
-    raise ValidationError(f"phase sign must be +1, -1, '+' or '-', got {s!r}")
+    raise ValidationError(f"phase sign must be +1 or -1, got {s!r}")
 
 
 def basis_coeffs(mu: float) -> tuple:
@@ -78,9 +78,7 @@ def correlated_mixture(parity, mu: float) -> np.ndarray:
     normalization (trace 1) and the off-diagonal signs: the + parity gets
     +c0^2 c1^2 off-diagonals and the - parity gets -c0^2 c1^2.
     """
-    p = sign_value(parity)
-    pairs = [(+1, +1), (-1, -1)] if p == +1 else [(+1, -1), (-1, +1)]
     rho = np.zeros((4, 4), dtype=complex)
-    for sa, sb in pairs:
+    for sa, sb in SIGN_PAIRS[sign_value(parity)]:
         rho += 0.5 * outer(signal_vector(sa, sb, mu))
     return rho

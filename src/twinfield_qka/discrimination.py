@@ -1,17 +1,20 @@
 """Minimum-error discrimination of the correlated vs anti-correlated mixtures.
 
-Two independent routes to the node-level error probability are exposed side
-by side and deliberately not merged:
+Two routes to the node-level error probability are exposed side by side:
 
 * ``helstrom_error`` evaluates 1/2 (1 - |1/2 (rho1 - rho0)|_1) numerically
   on explicit density operators.  Applied to the trace-1 mixtures from
-  :func:`twinfield_qka.coherent.correlated_mixture` it yields exp(-4 mu)/2.
+  :func:`twinfield_qka.coherent.correlated_mixture` it yields exp(-4 mu)/2:
+  the minimum error for the states as built.
 * ``qmin_pair_closed`` evaluates the analytic shortcut (3 + exp(-4 mu))/8
-  published for this protocol family.
+  published for this protocol family.  It is the same Helstrom formula
+  applied to the two mixtures taken at trace 1/2 each, with one 2x2 block
+  of the anti-correlated mixture replaced by the correlated one's, so
+  that the operators differ in one block only (pinned by the test suite).
 
-The two do not coincide for the mixtures as constructed here; consumers get
-both values in :class:`DiscriminationResult` so the gap stays visible
-instead of being silently adjudicated.
+Two nodes err independently, so either route's three-party error is
+``compose_error(q, q)``.  Neither value enters the key rate, which comes
+from the Holevo bound in :mod:`twinfield_qka.keyrate`.
 """
 
 from __future__ import annotations
@@ -26,12 +29,11 @@ from .linalg import check_density, trace_norm
 
 @dataclass(frozen=True)
 class DiscriminationResult:
-    """Error probabilities for one intensity: numeric bound and closed forms."""
+    """Single-node error probabilities for one intensity: numeric bound and closed form."""
 
     mu: float
     q_helstrom: float
     q_closed_pair: float
-    q_closed_triple: float
 
 
 def helstrom_error(rho0, rho1) -> float:
@@ -53,26 +55,6 @@ def qmin_pair_closed(mu: float) -> float:
     return (math.exp(-4.0 * mu) + 3.0) / 8.0
 
 
-def qmin_pair_closed_hyperbolic(mu: float) -> float:
-    """Equivalent hyperbolic form 1/2 (1 - exp(-2 mu) cosh(mu) sinh(mu))."""
-    if not 0.0 <= mu < math.inf:  # also false for NaN
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
-    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
-
-
-def qmin_triple_closed(mu: float) -> float:
-    """Two-node (three-party) error 1 - (1 - q_pair)^2."""
-    q = qmin_pair_closed(mu)
-    return 1.0 - (1.0 - q) ** 2
-
-
-def qmin_triple_closed_expanded(mu: float) -> float:
-    """Equivalent expanded form (39 + 10 exp(-4 mu) - exp(-8 mu))/64."""
-    if not 0.0 <= mu < math.inf:  # also false for NaN
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
-    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
-
-
 def compose_error(q1: float, q2: float) -> float:
     """Probability that at least one of two independent nodes errs, 1 - (1-q1)(1-q2)."""
     for q in (q1, q2):
@@ -82,11 +64,6 @@ def compose_error(q1: float, q2: float) -> float:
 
 
 def discriminate(mu: float) -> DiscriminationResult:
-    """Evaluate the numeric bound and both closed forms at one intensity."""
+    """Evaluate the numeric bound and the closed form at one intensity."""
     q_num = helstrom_error(correlated_mixture(+1, mu), correlated_mixture(-1, mu))
-    return DiscriminationResult(
-        mu=mu,
-        q_helstrom=q_num,
-        q_closed_pair=qmin_pair_closed(mu),
-        q_closed_triple=qmin_triple_closed(mu),
-    )
+    return DiscriminationResult(mu=mu, q_helstrom=q_num, q_closed_pair=qmin_pair_closed(mu))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import basis_coeffs, sign_value, signal_vector
+from .coherent import SIGN_PAIRS, basis_coeffs, sign_value, signal_vector
 from .errors import ImpossibleBranchError, UsageError, ValidationError
 from .linalg import binary_entropy, outer, psd_sqrt, von_neumann_entropy
 
@@ -102,15 +102,9 @@ def loss_povm(mu: float, eta: float) -> LossPovm:
         ],
         dtype=complex,
     )
-    f_minus = (1.0 - xi * xi) * np.array(
-        [
-            [lo / (8 * c02 * c02), -lo / (8 * c02 * c12), 0, 0],
-            [-lo / (8 * c02 * c12), lo / (8 * c12 * c12), 0, 0],
-            [0, 0, hi / (8 * c02 * c12), -hi / (8 * c02 * c12)],
-            [0, 0, -hi / (8 * c02 * c12), hi / (8 * c02 * c12)],
-        ],
-        dtype=complex,
-    )
+    # Alice's phase flip, diag(1, -1, 1, -1) on {e0e0, e1e1, e0e1, e1e0}, maps F+ to F-.
+    s = np.array([1, -1, 1, -1])
+    f_minus = f_plus * np.outer(s, s)
     f_inconclusive = (xi * xi) * np.diag(
         [
             (1.0 + omega) ** 2 / (4 * c02 * c02),
@@ -166,16 +160,12 @@ def eve_mixture(povm: LossPovm, delta: str) -> np.ndarray:
     they are (+,-) and (-,+).  The result is a trace-1 rank-<=2 mixture of
     two pure conditional states.
     """
-    if delta == "+":
-        pairs = [(+1, +1), (-1, -1)]
-    elif delta == "-":
-        pairs = [(+1, -1), (-1, +1)]
-    else:
+    if delta not in ("+", "-"):
         raise ValidationError(
             f"key-bearing announcements are '+' and '-', got {delta!r}"
         )
     rho = np.zeros((4, 4), dtype=complex)
-    for sa, sb in pairs:
+    for sa, sb in SIGN_PAIRS[+1 if delta == "+" else -1]:
         rho += 0.5 * outer(eve_conditional_state(povm, delta, sa, sb))
     return rho
 

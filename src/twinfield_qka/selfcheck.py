@@ -18,11 +18,11 @@ def check_discrimination_identities():
     mus = np.linspace(1e-3, 2.0, 200)
     worst = 0.0
     for mu in mus:
-        worst = max(
-            worst,
-            abs(discrimination.qmin_pair_closed(mu) - discrimination.qmin_pair_closed_hyperbolic(mu)),
-            abs(discrimination.qmin_triple_closed(mu) - discrimination.qmin_triple_closed_expanded(mu)),
-        )
+        q = discrimination.qmin_pair_closed(mu)
+        hyperbolic = 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
+        expanded = (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
+        worst = max(worst, abs(q - hyperbolic),
+                    abs(discrimination.compose_error(q, q) - expanded))
     ok = worst < 1e-12
     return "closed-form identities", ok, f"max |form1 - form2| = {worst:.2e}"
 

@@ -86,14 +86,6 @@ class SessionConfig:
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
-    @classmethod
-    def equal_arms(cls, n_pulses: int, mu: float, total_km: float, **kwargs) -> "SessionConfig":
-        """Config with the total fiber split evenly over the 4 arms."""
-        if total_km < 0:
-            raise ValidationError(f"total_km must be >= 0, got {total_km!r}")
-        arm = total_km / 4.0
-        return cls(n_pulses=n_pulses, mu=mu, arm_lengths=(arm, arm, arm, arm), **kwargs)
-
 
 @dataclass(frozen=True)
 class SessionResult:

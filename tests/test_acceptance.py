@@ -11,13 +11,7 @@ import time
 import numpy as np
 
 from twinfield_qka.coherent import correlated_mixture
-from twinfield_qka.discrimination import (
-    helstrom_error,
-    qmin_pair_closed,
-    qmin_pair_closed_hyperbolic,
-    qmin_triple_closed,
-    qmin_triple_closed_expanded,
-)
+from twinfield_qka.discrimination import compose_error, helstrom_error, qmin_pair_closed
 from twinfield_qka.keyrate import (
     announcement_probability,
     holevo,
@@ -39,6 +33,21 @@ MU_GRID_FINE = np.linspace(0.002, 2.0, 1000)
 MU_GRID = np.linspace(0.01, 1.0, 20)
 ETA_GRID = np.logspace(-5, 0, 20)
 SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def closed_triple(mu):
+    """The two-node closed form as `discriminate` reports it."""
+    q = qmin_pair_closed(mu)
+    return compose_error(q, q)
+
+
+# Independent rewrites of the closed forms, kept here as oracles.
+def qmin_pair_closed_hyperbolic(mu):
+    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
+
+
+def qmin_triple_closed_expanded(mu):
+    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
 
 
 def _report(number, description, problems, elapsed, limit):
@@ -73,19 +82,19 @@ def test_criterion_1_closed_form_discrimination():
     problems = []
     if qmin_pair_closed(0.0) != 0.5:
         problems.append(f"q_pair(0) = {qmin_pair_closed(0.0)!r}, want exactly 0.5")
-    if qmin_triple_closed(0.0) != 0.75:
-        problems.append(f"q_triple(0) = {qmin_triple_closed(0.0)!r}, want exactly 0.75")
+    if closed_triple(0.0) != 0.75:
+        problems.append(f"q_triple(0) = {closed_triple(0.0)!r}, want exactly 0.75")
     worst = 0.0
     for mu in MU_GRID_FINE:
         worst = max(
             worst,
             abs(qmin_pair_closed(mu) - qmin_pair_closed_hyperbolic(mu)),
-            abs(qmin_triple_closed(mu) - qmin_triple_closed_expanded(mu)),
+            abs(closed_triple(mu) - qmin_triple_closed_expanded(mu)),
         )
     if worst > 1e-12:
         problems.append(f"printed forms deviate by {worst:.2e} > 1e-12")
     for mu in np.linspace(0.001, 1.0, 1000):
-        if not qmin_triple_closed(mu) > qmin_pair_closed(mu):
+        if not closed_triple(mu) > qmin_pair_closed(mu):
             problems.append(f"q_triple <= q_pair at mu={mu}")
             break
     elapsed = time.monotonic() - t0
@@ -226,7 +235,7 @@ def test_criterion_8_long_haul_key_rate():
     problems = []
     skr = {}
     for mu in (0.2, 0.5):
-        cfg = SessionConfig.equal_arms(n_pulses=100_000_000, mu=mu, total_km=250.0, seed=0)
+        cfg = SessionConfig(n_pulses=100_000_000, mu=mu, arm_lengths=(250.0 / 4,) * 4, seed=0)
         skr[mu] = run_session(cfg).skr_per_pulse
     if skr[0.2] < 1e-6:
         problems.append(f"skr at 250 km is {skr[0.2]:.3e} < 1e-6 per pulse")
@@ -249,10 +258,10 @@ def test_criterion_9_protocol_round_trip():
 
     # Loss-only sessions: everyone must end up with identical key material.
     for i in range(70):
-        cfg = SessionConfig.equal_arms(
+        cfg = SessionConfig(
             n_pulses=int(rng.integers(2_000, 30_000)),
             mu=float(rng.uniform(0.05, 0.5)),
-            total_km=float(rng.uniform(0.0, 120.0)),
+            arm_lengths=(float(rng.uniform(0.0, 120.0)) / 4,) * 4,
             y0=0.0, dark_count_prob=0.0,
             seed=int(rng.integers(0, 2**32)),
         )
@@ -272,10 +281,10 @@ def test_criterion_9_protocol_round_trip():
     # Sessions with injected background noise: every wrong bit must be
     # visible in qber and propagate transparently through the XOR bridge.
     for i in range(40):
-        cfg = SessionConfig.equal_arms(
+        cfg = SessionConfig(
             n_pulses=int(rng.integers(20_000, 60_000)),
             mu=0.2,
-            total_km=float(rng.uniform(80.0, 160.0)),
+            arm_lengths=(float(rng.uniform(80.0, 160.0)) / 4,) * 4,
             y0=1e-3, dark_count_prob=1e-3,
             seed=int(rng.integers(0, 2**32)),
         )

@@ -243,6 +243,16 @@ class TestSimulateCommand:
         assert {"arm_lengths" if k == "arm_lengths_km" else k for k in echoed} == fields
         assert len(echoed) == len(fields)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_prints_only_the_error(self, fmt, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert dispatch(["simulate", "--pulses", "10", "--format", fmt, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output file {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_keys_digested_once_and_table_unchanged(self, capsys, monkeypatch):
         calls = []
         digest = simulation._key_digest
@@ -627,8 +637,7 @@ class TestSelftestCommand:
     def test_selftest_passes(self, capsys):
         assert dispatch(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 7
 
 
 class TestDispatchErrors:

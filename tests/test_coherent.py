@@ -75,10 +75,10 @@ class TestSignalVector:
                     v = signal_vector(sa, sb, mu)
                     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
-    def test_string_signs_accepted(self):
-        np.testing.assert_allclose(
-            signal_vector("+", "-", 0.3), signal_vector(+1, -1, 0.3)
-        )
+    def test_string_signs_rejected(self):
+        for sign in ("+", "-", 0, 2):
+            with pytest.raises(ValidationError, match="phase sign must be"):
+                signal_vector(sign, +1, 0.3)
 
     def test_pairwise_non_orthogonality(self):
         pairs = [(1, 1), (-1, -1), (1, -1), (-1, 1)]

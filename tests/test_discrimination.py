@@ -1,21 +1,36 @@
 """Unit tests for the minimum-error discrimination module."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from twinfield_qka import cli
 from twinfield_qka.coherent import correlated_mixture
 from twinfield_qka.discrimination import (
     compose_error,
     discriminate,
     helstrom_error,
     qmin_pair_closed,
-    qmin_pair_closed_hyperbolic,
-    qmin_triple_closed,
-    qmin_triple_closed_expanded,
 )
 from twinfield_qka.errors import ValidationError
+from twinfield_qka.linalg import trace_norm
+
+
+# Independent rewrites of the closed forms, kept here as oracles.
+def qmin_pair_closed_hyperbolic(mu):
+    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
+
+
+def qmin_triple_closed_expanded(mu):
+    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
+
+
+def closed_triple(mu):
+    """The two-node closed form as `discriminate` reports it."""
+    q = qmin_pair_closed(mu)
+    return compose_error(q, q)
 
 
 class TestHelstromError:
@@ -62,25 +77,22 @@ class TestHelstromError:
 class TestClosedForms:
     def test_vacuum_values(self):
         assert qmin_pair_closed(0.0) == 0.5
-        assert qmin_triple_closed(0.0) == 0.75
+        assert closed_triple(0.0) == 0.75
 
     def test_mu_02(self):
         assert qmin_pair_closed(0.2) == pytest.approx(0.4311661205146527, abs=1e-15)
-        assert qmin_triple_closed(0.2) == pytest.approx(0.67642801754964932, abs=1e-15)
+        assert closed_triple(0.2) == pytest.approx(0.67642801754964932, abs=1e-15)
 
     def test_large_mu_asymptote(self):
         assert qmin_pair_closed(50.0) == pytest.approx(0.375, abs=1e-12)
 
     def test_negative_mu_rejected(self):
-        for fn in (qmin_pair_closed, qmin_triple_closed,
-                   qmin_pair_closed_hyperbolic, qmin_triple_closed_expanded):
+        for fn in (qmin_pair_closed, discriminate):
             with pytest.raises(ValidationError):
                 fn(-0.01)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
-    @pytest.mark.parametrize("fn", [qmin_pair_closed, qmin_triple_closed,
-                                    qmin_pair_closed_hyperbolic, qmin_triple_closed_expanded,
-                                    discriminate])
+    @pytest.mark.parametrize("fn", [qmin_pair_closed, discriminate])
     def test_non_finite_mu_rejected(self, fn, mu):
         with pytest.raises(ValidationError, match="must be finite"):
             fn(mu)
@@ -90,13 +102,29 @@ class TestClosedForms:
             assert qmin_pair_closed(mu) == pytest.approx(
                 qmin_pair_closed_hyperbolic(mu), abs=1e-12
             )
-            assert qmin_triple_closed(mu) == pytest.approx(
+            assert closed_triple(mu) == pytest.approx(
                 qmin_triple_closed_expanded(mu), abs=1e-12
             )
 
     def test_triple_exceeds_pair(self):
         for mu in np.linspace(0.001, 1.0, 1000):
-            assert qmin_triple_closed(mu) > qmin_pair_closed(mu)
+            assert closed_triple(mu) > qmin_pair_closed(mu)
+
+    @pytest.mark.parametrize("block", [slice(0, 2), slice(2, 4)], ids=["e0e0-e1e1", "e0e1-e1e0"])
+    def test_pair_closed_form_is_helstrom_on_half_trace_mixtures_differing_in_one_block(
+        self, block
+    ):
+        # Take both mixtures at trace 1/2 and give the anti-correlated one the
+        # correlated one's block; the Helstrom formula on that pair is the
+        # closed form.  (helstrom_error itself accepts only trace-1 states.)
+        worst = 0.0
+        for mu in np.linspace(1e-3, 5.0, 400):
+            rho1 = 0.5 * correlated_mixture(+1, mu)
+            rho0 = 0.5 * correlated_mixture(-1, mu)
+            rho0[block, block] = rho1[block, block]
+            q = 0.5 * (1.0 - 0.5 * trace_norm(rho1 - rho0))
+            worst = max(worst, abs(q - (3.0 + math.exp(-4.0 * mu)) / 8.0))
+        assert worst < 1e-12
 
 
 class TestComposeError:
@@ -104,10 +132,9 @@ class TestComposeError:
         assert compose_error(0.5, 0.5) == pytest.approx(0.75)
 
     def test_node_mode_reproduces_triple(self):
-        q = qmin_pair_closed(0.2)
-        assert compose_error(q, q) == pytest.approx(
-            qmin_triple_closed(0.2), abs=1e-15
-        )
+        for mu in np.linspace(0.0, 2.0, 201):
+            q = qmin_pair_closed(mu)
+            assert compose_error(q, q) == pytest.approx(1.0 - (1.0 - q) ** 2, abs=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -124,8 +151,15 @@ class TestDiscriminate:
         # The two routes genuinely differ for these mixtures; both stay visible.
         assert abs(res.q_helstrom - res.q_closed_pair) > 0.1
 
-    def test_triple_field_consistency(self):
+    def test_triple_field_consistency(self, capsys):
+        # Both triple columns of `discriminate` compose the pair columns.
+        assert cli.dispatch(["discriminate", "--mu", "0.35", "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
         res = discriminate(0.35)
-        assert res.q_closed_triple == pytest.approx(
+        assert row["q_helstrom_pair"] == res.q_helstrom
+        assert row["q_pair_closed"] == res.q_closed_pair
+        assert row["q_helstrom_triple"] == compose_error(res.q_helstrom, res.q_helstrom)
+        assert row["q_triple_closed"] == compose_error(res.q_closed_pair, res.q_closed_pair)
+        assert row["q_triple_closed"] == pytest.approx(
             1 - (1 - res.q_closed_pair) ** 2, abs=1e-15
         )

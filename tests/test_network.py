@@ -22,7 +22,7 @@ from twinfield_qka.network import (
     reconcile_network,
     segment_tree,
 )
-from twinfield_qka.simulation import reconcile_pair
+from twinfield_qka.simulation import SessionConfig, reconcile_pair, run_session
 
 FIG_SEVEN_EDGES = [
     (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
@@ -655,3 +655,31 @@ class TestPlanNetwork:
             for seg in plan.segments:
                 covered.update(seg.members)
             assert covered == set(ids)
+
+    @pytest.mark.parametrize("graph, shape", [
+        (PartyGraph.build(["a", "b", "c", "d", "e", "f"],
+                          [("a", "b", 12.0), ("b", "c", 20.0), ("c", "d", 8.0),
+                           ("d", "e", 30.0), ("d", "f", 15.0)]), [1, 2, 2]),
+        (caterpillar_graph(), [2, 2, 2]),
+    ], ids=["six-party-with-pair", "seven-party-caterpillar"])
+    def test_segment_rates_agree_with_simulation(self, graph, shape):
+        # Without background clicks a link of d km simulated with arms
+        # (d/2, d/2) is conclusive with link_rate's sift and never errs, so
+        # each segment, simulated as one session, runs at its planned rate.
+        mu, n = 0.2, 2_000_000
+        plan = plan_network(graph, mu=mu)
+        assert sorted(len(seg.arm_distances) for seg in plan.segments) == shape
+        for i, (seg, planned) in enumerate(zip(plan.segments, plan.per_segment_rate)):
+            links = seg.arm_distances
+            arms = [half for d in links for half in (d / 2, d / 2)]
+            arms += [0.0, 0.0] * (2 - len(links))  # a pair's idle BC node is never the slower
+            res = run_session(SessionConfig(n_pulses=n, mu=mu, arm_lengths=arms,
+                                            y0=0.0, dark_count_prob=0.0, seed=i))
+            band = 0.0
+            for node, qber, d in zip(("AB", "BC"), (res.qber_ab, res.qber_bc), links):
+                sift, _, fraction, _ = link_rate(mu, transmittance_from_distance(d))
+                sigma = math.sqrt(sift * (1 - sift) / n)
+                assert qber == 0.0, (seg, node)
+                assert abs(res.conclusive_counts[node] / n - sift) < 5 * sigma, (seg, node)
+                band = max(band, 5 * sigma * fraction)
+            assert abs(res.skr_per_pulse - planned) < band, seg

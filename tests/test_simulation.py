@@ -28,8 +28,8 @@ from twinfield_qka.simulation import (
 
 
 def noiseless(n_pulses, mu=0.2, total_km=0.0, seed=0):
-    return SessionConfig.equal_arms(
-        n_pulses=n_pulses, mu=mu, total_km=total_km,
+    return SessionConfig(
+        n_pulses=n_pulses, mu=mu, arm_lengths=(total_km / 4,) * 4,
         y0=0.0, dark_count_prob=0.0, seed=seed,
     )
 
@@ -238,8 +238,8 @@ class TestRunSession:
         assert abs(res.conclusive_counts["BC"] / n - p) < 5 * sigma
 
     def test_dark_counts_create_qber(self):
-        cfg = SessionConfig.equal_arms(
-            n_pulses=200_000, mu=0.2, total_km=120.0,
+        cfg = SessionConfig(
+            n_pulses=200_000, mu=0.2, arm_lengths=(120.0 / 4,) * 4,
             y0=1e-3, dark_count_prob=1e-3, seed=5,
         )
         res = run_session(cfg)
@@ -365,11 +365,11 @@ class TestRunSession:
 ORACLE_PULSES = 3 << 19
 
 ORACLE_CASES = {
-    "0 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=0.0, seed=1),
-    "120 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=120.0, seed=2),
-    "250 km": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=250.0, seed=3),
-    "heavy background": SessionConfig.equal_arms(n_pulses=ORACLE_PULSES, mu=0.2, total_km=40.0,
-                                                 y0=0.3, seed=4),
+    "0 km": SessionConfig(n_pulses=ORACLE_PULSES, mu=0.2, arm_lengths=(0.0,) * 4, seed=1),
+    "120 km": SessionConfig(n_pulses=ORACLE_PULSES, mu=0.2, arm_lengths=(120.0 / 4,) * 4, seed=2),
+    "250 km": SessionConfig(n_pulses=ORACLE_PULSES, mu=0.2, arm_lengths=(250.0 / 4,) * 4, seed=3),
+    "heavy background": SessionConfig(n_pulses=ORACLE_PULSES, mu=0.2, arm_lengths=(40.0 / 4,) * 4,
+                                      y0=0.3, seed=4),
     "unequal arms": SessionConfig(n_pulses=ORACLE_PULSES, arm_lengths=(30.0, 10.0, 5.0, 60.0),
                                   y0=1e-3, seed=5),
 }
@@ -416,9 +416,9 @@ class TestPerPulseOracle:
 
 class TestEventSampling:
     def test_first_block_independent_of_session_length(self):
-        kwargs = dict(mu=0.2, total_km=120.0, y0=1e-3, seed=21)
-        short = run_session(SessionConfig.equal_arms(n_pulses=1 << 20, **kwargs))
-        long = run_session(SessionConfig.equal_arms(n_pulses=(1 << 20) + 123, **kwargs))
+        kwargs = dict(mu=0.2, arm_lengths=(120.0 / 4,) * 4, y0=1e-3, seed=21)
+        short = run_session(SessionConfig(n_pulses=1 << 20, **kwargs))
+        long = run_session(SessionConfig(n_pulses=(1 << 20) + 123, **kwargs))
         for s_key, l_key in zip((*short.sifted_ab, *short.sifted_bc),
                                 (*long.sifted_ab, *long.sifted_bc)):
             assert len(l_key) >= len(s_key)
