@@ -36,7 +36,7 @@ positions = {
     "fern": (43.0, 15.0),
     "grove": (41.0, 1.0),
 }
-graph = PartyGraph.build([(name, x, y) for name, (x, y) in positions.items()])
+graph = PartyGraph.build([{"id": name, "x": x, "y": y} for name, (x, y) in positions.items()])
 plan = plan_network(graph, mu=0.2)
 
 print("minimum-length backbone")
@@ -68,7 +68,8 @@ print(f"all parties derive the same 128-bit group key: {everyone_agrees}")
 
 
 def plan_layout(layout):
-    return plan_network(PartyGraph.build([(name, x, y) for name, (x, y) in layout.items()]), mu=0.2)
+    parties = [{"id": name, "x": x, "y": y} for name, (x, y) in layout.items()]
+    return plan_network(PartyGraph.build(parties), mu=0.2)
 
 
 def report(title, layout, layout_plan):

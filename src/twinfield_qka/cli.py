@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -24,6 +23,7 @@ from .keyrate import asymptotic_rate, transmittance_from_distance
 from .network import PartyGraph, plan_network, reconcile_network
 from .simulation import (
     SessionConfig,
+    _key_digest,
     format_session_result,
     run_session,
     session_result_to_dict,
@@ -195,6 +195,11 @@ def _arm_kms(args):
     return (total / 4.0,) * 4
 
 
+def _check_positive(flag: str, value: float) -> None:
+    if value <= 0:  # NaN passes on to the library's finite check
+        raise ValidationError(f"{flag} must be > 0, got {value}")
+
+
 def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
     """eta, sift and chi of the bottleneck link, and its bits per pulse."""
     links = [(mu1, transmittance_from_distance(link1_km)),
@@ -204,11 +209,9 @@ def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
 
 
 def _cmd_keyrate(args) -> int:
-    if args.mu <= 0:
-        raise ValidationError(f"--mu must be > 0, got {args.mu}")
+    _check_positive("--mu", args.mu)
     mu2 = args.mu2 if args.mu2 is not None else args.mu
-    if mu2 <= 0:
-        raise ValidationError(f"--mu2 must be > 0, got {mu2}")
+    _check_positive("--mu2", mu2)
     if args.delta_ec < 0:
         raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
     l_a, l_b, l_bp, l_c = _arm_kms(args)
@@ -239,35 +242,26 @@ def _cmd_keyrate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    arms = _arm_kms(args)
+    _check_positive("--mu", args.mu)
     config = SessionConfig(
         n_pulses=args.pulses,
         mu=args.mu,
-        arm_lengths=arms,
+        arm_lengths=_arm_kms(args),
         y0=args.y0,
         dark_count_prob=args.dark,
         seed=args.seed,
     )
     result = run_session(config)
     summary = session_result_to_dict(result)
-    doc = {
-        "config": {
-            "n_pulses": config.n_pulses,
-            "mu": config.mu,
-            "arm_lengths_km": list(arms),
-            "y0": config.y0,
-            "dark_count_prob": config.dark_count_prob,
-            "seed": config.seed,
-        },
-        "result": summary,
-    }
     if args.format == "csv":
         counts = summary["conclusive_counts"]
-        flat = {"conclusive_ab": counts["AB"], "conclusive_bc": counts["BC"],
-                **{k: v for k, v in summary.items() if not isinstance(v, dict)}}
-        emit_csv([flat], args.out)
+        doc = [{"conclusive_ab": counts["AB"], "conclusive_bc": counts["BC"],
+                **{k: v for k, v in summary.items() if not isinstance(v, dict)}}]
     else:
-        _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        echo = dict(vars(config))  # the fields, without asdict's deep copy
+        echo["arm_lengths_km"] = echo.pop("arm_lengths")
+        doc = {"config": echo, "result": summary}
+    _emit(doc, args)
     print(format_session_result(result), file=sys.stderr)  # only once the output is written
     return 0
 
@@ -303,8 +297,7 @@ def _cmd_plan(args) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot read network file {args.network!r}: {exc}") from exc
     graph = PartyGraph.from_json(text)
-    if args.mu <= 0:
-        raise ValidationError(f"--mu must be > 0, got {args.mu}")
+    _check_positive("--mu", args.mu)
     if args.delta_ec < 0:
         raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
     if args.key_length < 1:
@@ -319,7 +312,7 @@ def _cmd_plan(args) -> int:
         "key_length": args.key_length,
         "announcements": len(announcements),
         "all_parties_converge": _all_converge(keys, global_key, announcements),
-        "global_key_sha256": hashlib.sha256(global_key.tobytes()).hexdigest(),
+        "global_key_sha256": _key_digest(global_key),
     }
     _write_text(_plan_json(plan, reconciliation), args.out)
     return 0

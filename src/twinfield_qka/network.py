@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import itemgetter
 
-import numpy as np
-
 from .errors import PlanningError, UsageError, ValidationError
 from .keyrate import asymptotic_rate, transmittance_from_distance
-from .simulation import _as_key_bits
+from .simulation import _as_key_bits, _cut_to_shortest
 
 
 def _id_key(party):
@@ -45,13 +43,13 @@ def _id_key(party):
 
 
 def _scalar_id(pid):
-    """Return pid, rejecting a list, an object or a number that is not finite.
+    """Return pid if it is a JSON scalar: a string, a finite number, a bool or None.
 
-    Party ids are JSON scalars.  NaN is not even equal to itself, so no
-    lookup or union-find could ever match it, and _id_key sorts numbers as
-    floats, which an int beyond the float range cannot become.
+    NaN is not even equal to itself, so no lookup or union-find could ever
+    match it, and _id_key sorts numbers as floats, which an int beyond the
+    float range cannot become.
     """
-    if isinstance(pid, (list, dict)):
+    if pid is not None and not isinstance(pid, (str, int, float)):  # bool is an int
         raise ValidationError(f"party id must be a string or a number, got {pid!r}")
     if isinstance(pid, (int, float)):
         try:
@@ -97,7 +95,7 @@ class PartyGraph:
 
     @classmethod
     def build(cls, parties, edges=None) -> "PartyGraph":
-        """parties: ids, or (id, x, y) triples; edges: (a, b, km) or None.
+        """parties: the document's entries, ids or {"id", "x"?, "y"?}; edges: (a, b, km) or None.
 
         Without explicit edges, every pair of parties is connected at its
         Euclidean distance, which requires coordinates for everyone.
@@ -106,19 +104,18 @@ class PartyGraph:
         listed = {}  # each id to itself, so an endpoint equal to it (True for 1) resolves to it
         coords = {}
         for p in parties:
-            if isinstance(p, (tuple, list)):
-                if len(p) != 3:
-                    raise ValidationError(f"party must be an id or an (id, x, y) triple, got {p!r}")
-                pid, x, y = p
-                _scalar_id(pid)
+            entry = p if isinstance(p, dict) else {"id": p}
+            if "id" not in entry:
+                raise ValidationError(f"party entry missing id: {p!r}")
+            pid = _scalar_id(entry["id"])
+            if "x" in entry and "y" in entry:
+                x, y = entry["x"], entry["y"]
                 for v in (x, y):
                     if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                         raise ValidationError(
                             f"party {pid!r} coordinates must be finite numbers, got ({x!r}, {y!r})"
                         )
                 coords[pid] = (float(x), float(y))
-            else:
-                pid = _scalar_id(p)
             if pid in listed:
                 raise ValidationError(f"duplicate party id {pid!r}")
             listed[pid] = pid
@@ -166,27 +163,15 @@ class PartyGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "PartyGraph":
-        """Parse {"parties": [{"id", "x"?, "y"?}, ...], "edges"?: [{"a","b","km"}]}."""
+        """Parse {"parties": [id or {"id", "x"?, "y"?}, ...], "edges"?: [{"a","b","km"}]}."""
         try:
             doc = json.loads(text)
         except RecursionError:
             raise ValidationError("network document is nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"network document is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("parties"), list):
             raise ValidationError('network document needs a "parties" list')
-        parties = []
-        for entry in doc["parties"]:
-            if isinstance(entry, dict):
-                if "id" not in entry:
-                    raise ValidationError(f"party entry missing id: {entry!r}")
-                pid = entry["id"]  # build checks it
-                if "x" in entry and "y" in entry:
-                    parties.append((pid, entry["x"], entry["y"]))
-                elif isinstance(pid, list):  # build would read it as an (id, x, y) triple
-                    _scalar_id(pid)  # raises
-                else:
-                    parties.append(pid)
-            else:
-                parties.append(entry)
         edges = None
         if doc.get("edges") is not None:
             if not isinstance(doc["edges"], list):
@@ -196,7 +181,7 @@ class PartyGraph:
                 if not isinstance(e, dict) or not {"a", "b", "km"} <= e.keys():
                     raise ValidationError(f'edge entry needs "a", "b" and "km": {e!r}')
                 edges.append((e["a"], e["b"], e["km"]))
-        return cls.build(parties, edges)
+        return cls.build(doc["parties"], edges)
 
 
 def minimum_network(graph: PartyGraph) -> list:
@@ -245,16 +230,6 @@ def minimum_network(graph: PartyGraph) -> list:
     return tree
 
 
-def _tree_maps(tree_edges):
-    adj = {}
-    dist = {}
-    for a, b, km in tree_edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-        dist[(a, b)] = dist[(b, a)] = float(km)
-    return adj, dist
-
-
 def segment_tree(tree_edges) -> list:
     """Decompose a spanning tree into overlapping 3-party segments.
 
@@ -272,7 +247,9 @@ def segment_tree(tree_edges) -> list:
     unpaired edge, which happens exactly when N is even.  Segments are
     returned in the order the walk forms them.
     """
-    adj, dist = _tree_maps(tree_edges)
+    adj = {}  # each vertex to {neighbour: km}
+    for a, b, km in tree_edges:
+        adj.setdefault(a, {})[b] = adj.setdefault(b, {})[a] = float(km)
     nodes = sorted(adj, key=_id_key)
     n_nodes = len(nodes)
     if n_nodes < 2:
@@ -297,7 +274,7 @@ def segment_tree(tree_edges) -> list:
     def triple(a, c, b):
         if rank(b) < rank(a):
             a, b = b, a
-        return Segment(members=(a, c, b), center=c, arm_distances=(dist[(a, c)], dist[(c, b)]))
+        return Segment(members=(a, c, b), center=c, arm_distances=(adj[a][c], adj[c][b]))
 
     # BFS lists each vertex's children contiguously and in id order, so the
     # reverse walk appends them to open_kids in reverse id order.
@@ -316,7 +293,7 @@ def segment_tree(tree_edges) -> list:
                 # Centre on the first shared member, else on a.  A member is
                 # shared iff another tree edge, and so another segment, meets it.
                 center = b if len(adj[a]) == 1 < len(adj[b]) else a
-                out.append(Segment(members=(a, b), center=center, arm_distances=(dist[(a, b)],)))
+                out.append(Segment(members=(a, b), center=center, arm_distances=(adj[a][b],)))
         elif v is not root:
             open_kids[up].append(v)
     return out
@@ -398,15 +375,13 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     group key is segment 0's truncated key; every other segment recovers it
     by XOR-ing its own key with the announcements on its path to the root.
     """
-    keys = [_as_key_bits(k) for k in segment_keys]
+    keys = _cut_to_shortest(segment_keys)
     if not keys:
         raise UsageError("reconcile_network needs at least one segment key")
     if len(keys) != len(plan.segments):
         raise ValidationError(
             f"got {len(keys)} keys for {len(plan.segments)} segments"
         )
-    n_bits = min(len(k) for k in keys)
-    keys = [k[:n_bits] for k in keys]
     parent, order = _segment_adjacency_tree(plan)
     announcements = [
         (parent[j], j, keys[parent[j]] ^ keys[j]) for j in order if parent[j] is not None

@@ -209,10 +209,7 @@ def reconcile_pair(k_ab, k_bc):
     Returns (announcement, common_ab, common_bc).  Anyone holding one of
     the truncated keys recovers the other by XOR with the announcement.
     """
-    a = _as_key_bits(k_ab)
-    b = _as_key_bits(k_bc)
-    n = min(len(a), len(b))
-    a, b = a[:n], b[:n]
+    a, b = _cut_to_shortest((k_ab, k_bc))
     return a ^ b, a, b
 
 
@@ -228,6 +225,13 @@ def _as_key_bits(bits) -> np.ndarray:
     if not valid or arr.ndim != 1:
         raise ValidationError("key bits must be a 1-D sequence of 0s and 1s")
     return arr
+
+
+def _cut_to_shortest(keys) -> list:
+    """Each key as _as_key_bits reads it, all cut to the length of the shortest."""
+    keys = [_as_key_bits(k) for k in keys]
+    n_bits = min(map(len, keys), default=0)
+    return [k[:n_bits] for k in keys]
 
 
 def _key_digest(bits: np.ndarray) -> str:

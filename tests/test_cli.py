@@ -344,6 +344,20 @@ class TestPlanCommand:
                  *(p for a, b, _ in doc["tree_edges"] for p in (a, b))]
         assert {type(p) for p in named} == {int}
 
+    @pytest.mark.parametrize("parties", [
+        [["a", 0, 0], ["b", 3, 4], ["c", 6, 8]],
+        [{"id": "a", "x": 0, "y": 0}, ["b", 3, 4], {"id": "c", "x": 6, "y": 8}],
+    ])
+    def test_bare_list_party_entries_are_refused(self, parties, tmp_path, capsys, monkeypatch):
+        # Coordinates are read only from a party entry's "x" and "y".
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"parties": parties})))
+        out = tmp_path / "plan.json"
+        assert dispatch(["plan", "-", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         assert dispatch(["plan", "/nonexistent/net.json"]) == 1
         capsys.readouterr()
@@ -558,6 +572,14 @@ class TestOutOfRangeInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["keyrate", "simulate", "plan"])
+    def test_zero_intensity_is_refused_alike(self, command, tmp_path, capsys):
+        (tmp_path / "NET").write_text(FIG_SEVEN_JSON)
+        argv = [command, *([str(tmp_path / "NET")] if command == "plan" else []), "--mu", "0"]
+        assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: --mu must be > 0, got 0.0\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, err", [
         (["simulate"], "error: seed must be a non-negative integer, got -1\n"),

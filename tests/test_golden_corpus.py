@@ -113,7 +113,8 @@ def mixed_networks(seed=20240917, sizes=range(7, 42, 3)):
                 "edges": [{"a": a, "b": b, "km": float(km)}
                           for (a, b), km in zip(_prufer_tree(rng, n), kms)]}
         xy = rng.uniform(0.0, 1.0, (n, 2)) * 30.0 * math.sqrt(n) + rng.uniform(-500, 500, 2)
-        cloud = {"parties": [{"id": i, "x": float(x), "y": float(y)} for i, (x, y) in enumerate(xy)]}
+        cloud = {"parties": [{"id": i, "x": float(x), "y": float(y)}
+                             for i, (x, y) in enumerate(xy)]}
         for kind, doc in (("tree", tree), ("coord", cloud)):
             flags = ["--mu", repr(float(rng.uniform(0.1, 0.4))),
                      "--delta-ec", repr(float(rng.choice([0.0, 0.05]))),
@@ -141,7 +142,8 @@ def cases():
         ("keyrate-default", ["keyrate"], ""),
         ("keyrate-json", ["keyrate", "--format", "json", "--distance-km", "100"], ""),
         ("keyrate-distance-sweep", ["keyrate", "--sweep", "distance_km:0:300:7"], ""),
-        ("keyrate-mu-sweep", ["keyrate", "--sweep", "mu:0.05:1:5", "--arm-km", "1", "2", "3", "4"], ""),
+        ("keyrate-mu-sweep", ["keyrate", "--sweep", "mu:0.05:1:5",
+                              "--arm-km", "1", "2", "3", "4"], ""),
         ("keyrate-asymmetric", ["keyrate", "--format", "json", "--mu", "0.3", "--mu2", "0.1",
                                 "--arm-km", "10", "20", "30", "40", "--delta-ec", "0.05"], ""),
         ("keyrate-out", ["keyrate", "--distance-km", "50", "--out", "out.csv"], ""),
@@ -160,7 +162,8 @@ def cases():
         ("simulate-30km", [*sim, "--distance-km", "30", "--seed", "4"], ""),
         ("simulate-30km-csv", [*sim, "--distance-km", "30", "--seed", "4", "--format", "csv"], ""),
         ("simulate-250km", [*sim, "--distance-km", "250", "--seed", "2"], ""),
-        ("simulate-250km-csv", [*sim, "--distance-km", "250", "--seed", "2", "--format", "csv"], ""),
+        ("simulate-250km-csv", [*sim, "--distance-km", "250", "--seed", "2",
+                                "--format", "csv"], ""),
         ("simulate-arms", [*sim, "--arm-km", "1", "2", "3", "4", "--mu", "0.3",
                            "--y0", "1e-5", "--dark", "1e-7", "--seed", "9"], ""),
         ("simulate-out", [*sim, "--distance-km", "40", "--out", "out.json"], ""),
@@ -210,12 +213,14 @@ def cases():
          '{"parties": [{"id": 1, "x": 0, "y": 0}, {"id": 2, "x": 1}]}'),
         ("plan-bool-coordinate", ["plan", "-"],
          '{"parties": [{"id": 1, "x": true, "y": 0}, {"id": 2, "x": 1, "y": 0}]}'),
-        ("plan-nan-id", ["plan", "-"], '{"parties": [{"id": NaN, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}]}'),
+        ("plan-nan-id", ["plan", "-"],
+         '{"parties": [{"id": NaN, "x": 0, "y": 0}, {"id": 2, "x": 1, "y": 0}]}'),
         ("plan-unknown-endpoint", ["plan", "-"],
          '{"parties": [1, 2], "edges": [{"a": 1, "b": 9, "km": 5}]}'),
         ("plan-edge-without-km", ["plan", "-"], '{"parties": [1, 2], "edges": [{"a": 1, "b": 2}]}'),
         ("plan-disconnected", ["plan", "-"],
-         '{"parties": [1, 2, 3, 4], "edges": [{"a": 1, "b": 2, "km": 5}, {"a": 3, "b": 4, "km": 6}]}'),
+         '{"parties": [1, 2, 3, 4], "edges": [{"a": 1, "b": 2, "km": 5},'
+         ' {"a": 3, "b": 4, "km": 6}]}'),
         ("plan-edges-not-a-list", ["plan", "-"], '{"parties": [1, 2], "edges": 3}'),
         ("plan-no-network", ["plan"], ""),
     ]

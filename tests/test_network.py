@@ -30,6 +30,11 @@ FIG_SEVEN_EDGES = [
 ]
 
 
+def located(triples):
+    """Party entries with coordinates, from (id, x, y) triples."""
+    return [{"id": p, "x": x, "y": y} for p, x, y in triples]
+
+
 def caterpillar_graph():
     return PartyGraph.build([1, 2, 3, 4, 5, 6, 7], FIG_SEVEN_EDGES)
 
@@ -146,12 +151,12 @@ class TestPartyGraph:
             PartyGraph.build([1, 2], [(1, 2, 0.0)])
 
     def test_euclidean_complete_graph(self):
-        g = PartyGraph.build([("a", 0, 0), ("b", 3, 4), ("c", 0, 8)])
+        g = PartyGraph.build(located([("a", 0, 0), ("b", 3, 4), ("c", 0, 8)]))
         dists = {frozenset((a, b)): km for a, b, km in g.edges}
         assert dists[frozenset(("a", "b"))] == pytest.approx(5.0)
         assert len(g.edges) == 3
         parties = [("a", 0.5, -2.0), (2, 3.0, 4.0), (None, -7.25, 1e3), (7.5, 0.0, 0.1)]
-        assert PartyGraph.build(parties).edges == tuple(
+        assert PartyGraph.build(located(parties)).edges == tuple(
             (p, q, math.dist(pxy, qxy)) for (p, *pxy), (q, *qxy) in combinations(parties, 2)
         )
 
@@ -166,7 +171,7 @@ class TestPartyGraph:
 
     @pytest.mark.parametrize("bad", [{}, {"a": 1}, [], [1]])
     def test_bare_list_or_dict_id_rejected(self, bad):
-        # A list of length 3 is an (id, x, y) triple; any other is a bad id.
+        # A dict is a party entry, which needs an "id"; a list is never an id.
         with pytest.raises(ValidationError):
             PartyGraph.build([bad, 1], [])
         with pytest.raises(ValidationError):
@@ -179,7 +184,7 @@ class TestPartyGraph:
         with pytest.raises(ValidationError, match="finite"):
             PartyGraph.build([bad, 2, 3], [(2, 3, 1.0)])
         with pytest.raises(ValidationError, match="finite"):
-            PartyGraph.build([(bad, 0, 0), (2, 1, 0), (3, 0, 5)])
+            PartyGraph.build(located([(bad, 0, 0), (2, 1, 0), (3, 0, 5)]))
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_id_rejected(self, token):
@@ -196,7 +201,17 @@ class TestPartyGraph:
     ])
     def test_coordinate_distance_out_of_range_rejected(self, parties, message):
         with pytest.raises(ValidationError, match=message):
-            PartyGraph.build(parties)
+            PartyGraph.build(located(parties))
+
+    def test_tuple_entry_rejected(self):
+        # Coordinates come only in a party entry's "x" and "y"; a tuple is not an id.
+        with pytest.raises(ValidationError, match=r"got \('a', 0, 0\)"):
+            PartyGraph.build([("a", 0, 0), ("b", 3, 4)])
+
+    @pytest.mark.parametrize("text", ["", '{"parties": [1, 2,', "{'parties': []}"])
+    def test_invalid_json_names_the_document(self, text):
+        with pytest.raises(ValidationError, match="^network document is not valid JSON: "):
+            PartyGraph.from_json(text)
 
     def test_json_parsing(self):
         text = """

@@ -123,7 +123,7 @@ def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
     n = len(ids)
     if coordinates:
         xy = rng.uniform(-km_scale, km_scale, (n, 2))
-        graph = PartyGraph.build([(p, x, y) for p, (x, y) in zip(ids, xy)])
+        graph = PartyGraph.build([{"id": p, "x": x, "y": y} for p, (x, y) in zip(ids, xy)])
     else:  # a random spanning tree, with integer lengths that tie, plus extra edges
         edges = [(ids[i], ids[int(rng.integers(i))], float(rng.integers(1, 5)) * km_scale)
                  for i in range(1, n)]
