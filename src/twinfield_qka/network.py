@@ -95,9 +95,9 @@ class PartyGraph:
 
     @classmethod
     def build(cls, parties, edges=None) -> "PartyGraph":
-        """parties: the document's entries, ids or {"id", "x"?, "y"?}; edges: (a, b, km) or None.
+        """The document's entries: parties as ids or {"id", "x"?, "y"?}, edges as {"a", "b", "km"}.
 
-        Without explicit edges, every pair of parties is connected at its
+        Without explicit edges (None), every pair of parties is connected at its
         Euclidean distance, which requires coordinates for everyone.
         """
         ids = []
@@ -140,10 +140,9 @@ class PartyGraph:
             return cls(parties=tuple(ids), edges=tuple(edges))
         clean = []
         for edge in edges:
-            try:
-                a, b, km = edge
-            except (TypeError, ValueError):
-                raise ValidationError(f"edge must be (a, b, km), got {edge!r}") from None
+            if not isinstance(edge, dict) or not {"a", "b", "km"} <= edge.keys():
+                raise ValidationError(f'edge entry needs "a", "b" and "km": {edge!r}')
+            a, b, km = edge["a"], edge["b"], edge["km"]
             try:
                 a, b = listed[a], listed[b]
             except (KeyError, TypeError):  # TypeError: a list or an object
@@ -172,15 +171,9 @@ class PartyGraph:
             raise ValidationError(f"network document is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("parties"), list):
             raise ValidationError('network document needs a "parties" list')
-        edges = None
-        if doc.get("edges") is not None:
-            if not isinstance(doc["edges"], list):
-                raise ValidationError('"edges" must be a list of {"a", "b", "km"} entries')
-            edges = []
-            for e in doc["edges"]:
-                if not isinstance(e, dict) or not {"a", "b", "km"} <= e.keys():
-                    raise ValidationError(f'edge entry needs "a", "b" and "km": {e!r}')
-                edges.append((e["a"], e["b"], e["km"]))
+        edges = doc.get("edges")
+        if edges is not None and not isinstance(edges, list):
+            raise ValidationError('"edges" must be a list of {"a", "b", "km"} entries')
         return cls.build(doc["parties"], edges)
 
 

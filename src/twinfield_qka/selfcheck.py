@@ -102,8 +102,8 @@ def check_noiseless_session():
 def check_network_roundtrip():
     graph = network.PartyGraph.build(
         parties=[1, 2, 3, 4, 5, 6, 7],
-        edges=[(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
-               (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)],
+        edges=[{"a": a, "b": b, "km": km} for a, b, km in [
+            (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0), (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)]],
     )
     plan = network.plan_network(graph, mu=0.2)
     rng = np.random.default_rng(11)

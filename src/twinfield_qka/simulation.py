@@ -22,11 +22,14 @@ positions: the AB key is Bob's bits at AB events, the BC key his bits at BC
 events, and the two share a bit exactly where one pulse is conclusive at
 both nodes.  So a session draws only the events (pulses conclusive at either
 node), as one merged stream per block: their number, then per event a label
-(AB only, both or BC only), Bob's bit and, per node, an error flag.  That is
-the law of drawing every pulse and applying the click rule above (the
-per-pulse oracle in `tests/test_simulation.py` checks this), at a cost that
-follows the events, not the pulses.  A node's error flags over its m events
-are a Binomial(m, q) count placed on a uniformly random subset of the events,
+(AB only, both or BC only), per node a key bit for each of its events, with
+the AB bit copied into the BC key at the events of both, and per node an
+error flag.  That is the law of drawing every pulse and applying the click
+rule above (the per-pulse oracle in `tests/test_simulation.py` checks this),
+at a cost that follows the events, not the pulses.  A label costs about one
+random byte: the exact comparison of a uniform with the label's thresholds,
+read a base-256 digit at a time.  A node's error flags over its m events are
+a Binomial(m, q) count placed on a uniformly random subset of the events,
 which is m independent Bernoulli(q) flags.  Per-block PCG64 streams keyed by
 (seed, block_index) make a session bit-for-bit reproducible however the
 pulse loop is chunked.
@@ -35,6 +38,7 @@ pulse loop is chunked.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,34 +116,113 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _raw_bytes(rng, n: int) -> np.ndarray:
+    """n uniform random bytes: the little-endian bytes of whole 64-bit PCG64 outputs."""
+    return rng.bit_generator.random_raw((n + 7) >> 3).astype("<u8", copy=False).view(np.uint8)[:n]
+
+
+def _digits(t: float):
+    """t in [0, 1] as (head, tail): 256 t = head + 0.tail, tail in base-2^64 digits.
+
+    The expansion is exact (a float is a dyadic rational), so the tail is
+    finite, ends on a non-zero digit and is empty when 256 t is a whole
+    number; head is 256 for t = 1.
+    """
+    num, den = t.as_integer_ratio()
+    rest = den.bit_length() - 9  # bits of t after its first base-256 digit
+    if rest <= 0:
+        return num << -rest, []
+    words = -(-rest // 64)
+    head, tail = divmod(num << (64 * words - rest), 1 << (64 * words))
+    return head, [(tail >> (64 * i)) & (2**64 - 1) for i in reversed(range(words))]
+
+
+def _below(rng, first: np.ndarray, thresholds) -> list:
+    """Per threshold t, the mask [U < t] over uniforms U whose first base-256 digits are `first`.
+
+    A U whose digits so far equal those of some t draws its next 64 bits,
+    once for all thresholds, until a digit differs (odds 2^-64 per word) or
+    t's digits run out, where U >= t.  So the mask is exact, not a float
+    comparison.
+    """
+    cuts = [_digits(t) for t in thresholds]
+    below = [first < head for head, _ in cuts]
+    tied = [first == head for head, _ in cuts]
+    for level in itertools.count():
+        for tie, (_, tail) in zip(tied, cuts):
+            if level == len(tail):
+                tie[:] = False  # U's digits equal all of t's: U >= t
+        drawn = np.flatnonzero(np.logical_or.reduce(tied))
+        if not len(drawn):
+            return below
+        word = rng.bit_generator.random_raw(len(drawn))
+        for mask, tie, (_, tail) in zip(below, tied, cuts):
+            if level < len(tail):
+                at = tie[drawn]
+                mask[drawn[at & (word < tail[level])]] = True
+                tie[drawn] = at & (word == tail[level])
+
+
+def _labels(rng, n: int, ab_only: float, ab: float):
+    """Labels of n events by a uniform U each: the mask of U < ab_only, and where ab_only <= U < ab.
+
+    U's first random byte settles every event but those whose byte equals
+    the first base-256 digit of a cut point or lies between the two, and
+    only those are compared further (`_below`).
+    """
+    first = _raw_bytes(rng, n)
+    (lo, _), (hi, _) = _digits(ab_only), _digits(ab)
+    span = np.flatnonzero((first >= lo) & (first <= hi))
+    below_lo, below_hi = _below(rng, first[span], (ab_only, ab))
+    ab_only_mask = first < lo
+    ab_only_mask[span[below_lo]] = True
+    return ab_only_mask, span[below_hi & ~below_lo]
+
+
 def _block_events(rng, cnt: int, laws):
-    """Per node law (P(conclusive), P(error | conclusive)): event indices, Bob's bits, errors.
+    """Per node law (P(conclusive), P(error | conclusive)): the block's labels and keys.
 
     The nodes are independent per pulse, so the block's events (pulses
     conclusive at either node) are Binomial(cnt, p_any) in number, with
     p_any = pa + pb (1 - pa), and each is independently AB only, both or BC
     only with probabilities proportional to pa (1 - pb), pa pb and (1 - pa) pb.
-    One uniform per event picks its label from the intervals
-    [AB only | both | BC only] of [0, 1), and one packed bit per event is
-    Bob's.  A node's indices are its events' places in that merged stream:
-    sorted, and shared by the two nodes exactly at the events conclusive at
-    both.  A node's error flags are a Binomial(m, q) count of its m events,
-    placed on a uniformly random subset of them: m Bernoulli(q) flags.
+    One uniform U per event picks its label from the intervals
+    [AB only | both | BC only] of [0, 1), compared exactly (`_labels`).
+
+    Every event carries one uniform key bit, in the key of each node where
+    it is conclusive.  So each node draws one fresh bit per event of its
+    own, and at the events of both the AB bit is copied into the BC key:
+    the j-th shared event, at merged index s_j after A_j AB-only events,
+    holds bit j + A_j of the AB key and bit s_j - A_j of the BC key.  A
+    node's error flags are a Binomial(m, q) count of its m events, placed on
+    a uniformly random subset of them: m Bernoulli(q) flags.
+
+    Returns ((ab_only, shared), [(bits, errors) for AB, BC]): ab_only marks
+    the events conclusive at AB alone, shared lists the indices of those
+    conclusive at both, and the rest are BC only.
     """
-    (pa, qa), (pb, qb) = laws
+    (pa, _), (pb, _) = laws
     p_any = pa + pb * (1.0 - pa)  # never above 1, and exactly 1 when pa or pb is
     n = int(rng.binomial(cnt, p_any))
-    u = rng.random(n)
-    bob = np.unpackbits(np.frombuffer(rng.bytes((n + 7) >> 3), dtype=np.uint8), count=n)
-    # u in [0, ab_only) is AB only, [ab_only, ab) both and [ab, 1) BC only.
+    # U in [0, ab_only) is AB only, [ab_only, ab) both and [ab, 1) BC only.
     ab, ab_only = (pa / p_any, pa * (1.0 - pb) / p_any) if p_any else (0.0, 0.0)
-    events = []
-    for idx, q in ((np.flatnonzero(u < ab), qa), (np.flatnonzero(u >= ab_only), qb)):
-        m = len(idx)
+    ab_only_mask, shared = _labels(rng, n, ab_only, ab)
+    n_ab_only = np.count_nonzero(ab_only_mask)
+    counts = (n_ab_only + len(shared), n - n_ab_only)
+    bits = [np.unpackbits(_raw_bytes(rng, (m + 7) >> 3), count=m) for m in counts]
+    if len(shared):
+        a_before = np.add.reduceat(ab_only_mask, np.r_[0, shared], dtype=np.int32)[:-1].cumsum()
+        bits[1][shared - a_before] = bits[0][np.arange(len(shared)) + a_before]
+    nodes = []
+    for key, m, (_, q) in zip(bits, counts, laws):
         err = np.zeros(m, dtype=bool)
         err[rng.choice(m, rng.binomial(m, q), replace=False, shuffle=False)] = True
-        events.append((idx, bob[idx], err))
-    return events
+        nodes.append((key, err))
+    return (ab_only_mask, shared), nodes
+
+
+def _joined(parts) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -171,18 +254,17 @@ def run_session(config: SessionConfig) -> SessionResult:
         laws.append((p_conc, p_bg * (1.0 - p_sig) / p_conc if p_conc > 0 else 0.0))
         working_points.append((t1 * t2, config.mu * transmittance_from_distance(abs(l1 - l2) / 2.0)))
 
-    bobs, errs = ([], []), ([], [])
+    bobs, ends, errors = ([], []), ([], []), [0, 0]
     n = config.n_pulses
     for bi in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
         cnt = min(n - bi * BLOCK_SIZE, BLOCK_SIZE)
-        for i, (_, bob, err) in enumerate(_block_events(_block_rng(config.seed, bi), cnt, laws)):
+        for i, (bob, err) in enumerate(_block_events(_block_rng(config.seed, bi), cnt, laws)[1]):
             bobs[i].append(bob)
-            errs[i].append(err)
-    bobs = [np.concatenate(parts) for parts in bobs]
-    errs = [np.concatenate(parts) for parts in errs]
-    ends = [bob ^ err for bob, err in zip(bobs, errs)]  # Alice's bits at AB, Charlie's at BC
+            ends[i].append(bob ^ err)  # Alice's bits at AB, Charlie's at BC
+            errors[i] += np.count_nonzero(err)
+    bobs, ends = [_joined(parts) for parts in bobs], [_joined(parts) for parts in ends]
 
-    qbers = [np.count_nonzero(err) / len(err) if len(err) else 0.0 for err in errs]
+    qbers = [e / len(end) if len(end) else 0.0 for e, end in zip(errors, ends)]
     links = []
     for (eta, mu_eff), end, qber in zip(working_points, ends, qbers):
         sift = len(end) / n
@@ -235,7 +317,7 @@ def _cut_to_shortest(keys) -> list:
 
 
 def _key_digest(bits: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(bits).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(bits)).hexdigest()
 
 
 def session_result_to_dict(result: SessionResult) -> dict:

@@ -325,8 +325,8 @@ def test_criterion_10_network_planning():
 
     graph = PartyGraph.build(
         [1, 2, 3, 4, 5, 6, 7],
-        [(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
-         (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)],
+        [{"a": a, "b": b, "km": km} for a, b, km in [(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
+                                                     (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)]],
     )
     plan = plan_network(graph, mu=0.2)
     members = sorted(tuple(sorted(s.members)) for s in plan.segments)

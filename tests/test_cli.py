@@ -267,12 +267,12 @@ class TestSimulateCommand:
         assert dispatch(args) == 0
         assert len(calls) == 4
         assert capsys.readouterr().err == (
-            "conclusive AB / BC        4484 / 4545\n"
-            "qber AB / BC              0.000223015 / 0.000440044\n"
-            "sifted rate (bottleneck)  0.022725\n"
+            "conclusive AB / BC        4502 / 4522\n"
+            "qber AB / BC              0 / 0\n"
+            "sifted rate (bottleneck)  0.02251\n"
             "holevo deduction chi      0.841787\n"
-            "secret key rate /pulse    0.00346947\n"
-            "secret key rate bps       3.46947e+06\n"
+            "secret key rate /pulse    0.00356138\n"
+            "secret key rate bps       3.56138e+06\n"
         )
 
 
@@ -501,10 +501,10 @@ class TestOutputPinned:
         (["discriminate", "--sweep", "mu:0.01:1.5:150"],
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "1dafd508bb2295b5992f21550e58c3fc07918068c467107dcbe541793fa7cd31"),
+         "19104055f1a776d271a64d66a0c4a6ff47a32e1120e79687505ff308853298ef"),
         (["simulate", "--format", "csv", "--pulses", "3000000", "--distance-km", "250",
           "--seed", "11"],
-         "bdaa711a1b518db7271b31656ad98746dd6af2d387760c8f7b36228cb6dffe94"),
+         "b36680b104dfecdc9be116a4b8e74e510aadf9cb9306e7ea6955be4823d47bcc"),
     ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
             "simulate-json", "simulate-csv"])
     def test_stdout(self, argv, digest, capsys):

@@ -9,6 +9,10 @@ Regenerate the corpus (only after a deliberate output change, which the
 change log then lists) with:
 
     PYTHONPATH=src python tests/test_golden_corpus.py
+
+Before it rewrites the file, it prints one line per entry that is added,
+removed or changed (in exit code, a digest, argv or stdin): the list the
+change log needs.
 """
 
 import contextlib
@@ -227,6 +231,7 @@ def cases():
 
 
 def regenerate():
+    old = {e["id"]: e for e in json.loads(CORPUS.read_text())} if CORPUS.exists() else {}
     entries = []
     home = os.getcwd()
     for name, argv, stdin in cases():
@@ -236,6 +241,13 @@ def regenerate():
                 entries.append({"id": name, "argv": argv, "stdin": stdin, **run_entry(argv, stdin)})
             finally:
                 os.chdir(home)
+    # What the rewrite moves, for the change log: the entries that are new, gone or different.
+    new = {e["id"]: e for e in entries}
+    for verb, names in (("added", [n for n in new if n not in old]),
+                        ("removed", [n for n in old if n not in new]),
+                        ("changed", [n for n in new if n in old and new[n] != old[n]])):
+        for name in names:
+            print(f"{verb}: {name}")
     CORPUS.write_text("[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries) + "\n]\n")
     print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
 

@@ -35,8 +35,13 @@ def located(triples):
     return [{"id": p, "x": x, "y": y} for p, x, y in triples]
 
 
+def edge_entries(triples):
+    """Edge entries of a network document, from (a, b, km) triples."""
+    return [{"a": a, "b": b, "km": km} for a, b, km in triples]
+
+
 def caterpillar_graph():
-    return PartyGraph.build([1, 2, 3, 4, 5, 6, 7], FIG_SEVEN_EDGES)
+    return PartyGraph.build([1, 2, 3, 4, 5, 6, 7], edge_entries(FIG_SEVEN_EDGES))
 
 
 def random_tree_edges(n, rng, low=5.0, high=25.0):
@@ -140,15 +145,15 @@ def all_pairs_adjacency_tree(plan):
 class TestPartyGraph:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
-            PartyGraph.build([1, 1, 2], [(1, 2, 5.0)])
+            PartyGraph.build([1, 1, 2], edge_entries([(1, 2, 5.0)]))
 
     def test_unknown_edge_endpoint_rejected(self):
         with pytest.raises(ValidationError):
-            PartyGraph.build([1, 2], [(1, 9, 5.0)])
+            PartyGraph.build([1, 2], edge_entries([(1, 9, 5.0)]))
 
     def test_non_positive_distance_rejected(self):
         with pytest.raises(ValidationError):
-            PartyGraph.build([1, 2], [(1, 2, 0.0)])
+            PartyGraph.build([1, 2], edge_entries([(1, 2, 0.0)]))
 
     def test_euclidean_complete_graph(self):
         g = PartyGraph.build(located([("a", 0, 0), ("b", 3, 4), ("c", 0, 8)]))
@@ -163,11 +168,13 @@ class TestPartyGraph:
     @pytest.mark.parametrize("km", ["x", True, None, float("nan"), float("inf")])
     def test_bad_distance_rejected(self, km):
         with pytest.raises(ValidationError):
-            PartyGraph.build([1, 2], [(1, 2, km)])
+            PartyGraph.build([1, 2], edge_entries([(1, 2, km)]))
 
     def test_edge_arity_rejected(self):
-        with pytest.raises(ValidationError):
-            PartyGraph.build([1, 2], [(1, 2)])
+        # An edge is the document's own entry: a tuple or a list is not one.
+        for bad in ({"a": 1, "b": 2}, {"a": 1, "km": 5.0}, (1, 2, 5.0), [1, 2, 5.0], None):
+            with pytest.raises(ValidationError, match='edge entry needs "a", "b" and "km"'):
+                PartyGraph.build([1, 2], [bad])
 
     @pytest.mark.parametrize("bad", [{}, {"a": 1}, [], [1]])
     def test_bare_list_or_dict_id_rejected(self, bad):
@@ -182,7 +189,7 @@ class TestPartyGraph:
         # NaN != NaN: a NaN id once sent Kruskal's find into an endless loop;
         # 10**400 overflowed the float sort key with an OverflowError.
         with pytest.raises(ValidationError, match="finite"):
-            PartyGraph.build([bad, 2, 3], [(2, 3, 1.0)])
+            PartyGraph.build([bad, 2, 3], edge_entries([(2, 3, 1.0)]))
         with pytest.raises(ValidationError, match="finite"):
             PartyGraph.build(located([(bad, 0, 0), (2, 1, 0), (3, 0, 5)]))
 
@@ -285,7 +292,7 @@ def random_mixed_graph(rng):
         edges.append((name(i), name(j), km))
         if rng.random() < 0.1:  # a parallel edge, possibly reversed
             edges.append((name(j), name(i), km))
-    return PartyGraph.build(parties, edges)
+    return PartyGraph.build(parties, edge_entries(edges))
 
 
 class TestMinimumNetwork:
@@ -310,19 +317,19 @@ class TestMinimumNetwork:
         assert min(outcomes.values()) > 10
 
     def test_triangle_keeps_two_shortest(self):
-        g = PartyGraph.build([1, 2, 3], [(1, 2, 1.0), (2, 3, 2.0), (1, 3, 3.0)])
+        g = PartyGraph.build([1, 2, 3], edge_entries([(1, 2, 1.0), (2, 3, 2.0), (1, 3, 3.0)]))
         tree = minimum_network(g)
         assert sorted(km for _, _, km in tree) == [1.0, 2.0]
 
     def test_path_graph_is_already_a_tree(self):
-        g = PartyGraph.build([1, 2, 3, 4], [(1, 2, 5.0), (2, 3, 6.0), (3, 4, 7.0)])
+        g = PartyGraph.build([1, 2, 3, 4], edge_entries([(1, 2, 5.0), (2, 3, 6.0), (3, 4, 7.0)]))
         tree = minimum_network(g)
         assert sorted(frozenset((a, b)) for a, b, _ in tree) == sorted(
             frozenset((a, b)) for a, b, _ in g.edges
         )
 
     def test_disconnected_graph_reports_components(self):
-        g = PartyGraph.build([1, 2, 3, 4], [(1, 2, 5.0), (3, 4, 6.0)])
+        g = PartyGraph.build([1, 2, 3, 4], edge_entries([(1, 2, 5.0), (3, 4, 6.0)]))
         with pytest.raises(PlanningError, match="components"):
             minimum_network(g)
 
@@ -340,7 +347,7 @@ class TestMinimumNetwork:
             for a, b in keep:
                 edges[frozenset((a, b))] = float(rng.uniform(1.0, 30.0))
             edge_list = [(tuple(sorted(k))[0], tuple(sorted(k))[1], v) for k, v in edges.items()]
-            g = PartyGraph.build(ids, edge_list)
+            g = PartyGraph.build(ids, edge_entries(edge_list))
             tree = minimum_network(g)
             total = sum(km for _, _, km in tree)
 
@@ -664,7 +671,7 @@ class TestPlanNetwork:
             n = int(rng.integers(2, 10))
             edges = random_tree_edges(n, rng)
             ids = sorted({v for a, b, _ in edges for v in (a, b)})
-            g = PartyGraph.build(ids, edges)
+            g = PartyGraph.build(ids, edge_entries(edges))
             plan = plan_network(g, mu=0.2)
             covered = set()
             for seg in plan.segments:
@@ -673,8 +680,8 @@ class TestPlanNetwork:
 
     @pytest.mark.parametrize("graph, shape", [
         (PartyGraph.build(["a", "b", "c", "d", "e", "f"],
-                          [("a", "b", 12.0), ("b", "c", 20.0), ("c", "d", 8.0),
-                           ("d", "e", 30.0), ("d", "f", 15.0)]), [1, 2, 2]),
+                          edge_entries([("a", "b", 12.0), ("b", "c", 20.0), ("c", "d", 8.0),
+                                        ("d", "e", 30.0), ("d", "f", 15.0)])), [1, 2, 2]),
         (caterpillar_graph(), [2, 2, 2]),
     ], ids=["six-party-with-pair", "seven-party-caterpillar"])
     def test_segment_rates_agree_with_simulation(self, graph, shape):

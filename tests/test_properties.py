@@ -14,7 +14,8 @@ from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
 from twinfield_qka.simulation import _block_events, _block_rng  # noqa: E402
-from test_network import ID_SLOTS  # noqa: E402
+from test_network import ID_SLOTS, edge_entries  # noqa: E402
+from test_simulation import node_positions  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -28,7 +29,8 @@ PROBABILITIES = st.one_of(
 @given(cnt=st.integers(0, 5000), pa=PROBABILITIES, pb=PROBABILITIES,
        qa=PROBABILITIES, qb=PROBABILITIES, seed=st.integers(0, 2**32 - 1))
 def test_block_events_are_one_merged_stream(cnt, pa, pb, qa, qb, seed):
-    events = _block_events(_block_rng(seed, 0), cnt, [(pa, qa), (pb, qb)])
+    labels, nodes = _block_events(_block_rng(seed, 0), cnt, [(pa, qa), (pb, qb)])
+    events = [(idx, bob, err) for idx, (bob, err) in zip(node_positions(labels), nodes)]
     for (idx, bob, err), p, q in zip(events, (pa, pb), (qa, qb)):
         assert np.all(np.diff(idx) > 0)
         assert bob.dtype == np.uint8 and np.all(bob <= 1)
@@ -129,7 +131,7 @@ def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
                  for i in range(1, n)]
         edges += [(ids[i], ids[j], float(rng.uniform(1, 5)) * km_scale)
                   for i, j in combinations(range(n), 2) if rng.random() < 0.3]
-        graph = PartyGraph.build(ids, edges)
+        graph = PartyGraph.build(ids, edge_entries(edges))
     plan = plan_network(graph, mu=float(rng.uniform(0.05, 0.5)))
     reconciliation = {
         "key_length": int(rng.integers(1, 2**40)),
