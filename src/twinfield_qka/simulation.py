@@ -22,23 +22,21 @@ positions: the AB key is Bob's bits at AB events, the BC key his bits at BC
 events, and the two share a bit exactly where one pulse is conclusive at
 both nodes.  So a session draws only the events (pulses conclusive at either
 node), as one merged stream per block: their number, then per event a label
-(AB only, both or BC only), per node a key bit for each of its events, with
-the AB bit copied into the BC key at the events of both, and per node an
-error flag.  That is the law of drawing every pulse and applying the click
-rule above (the per-pulse oracle in `tests/test_simulation.py` checks this),
-at a cost that follows the events, not the pulses.  A label costs about one
-random byte: the exact comparison of a uniform with the label's thresholds,
-read a base-256 digit at a time.  A node's error flags over its m events are
-a Binomial(m, q) count placed on a uniformly random subset of the events,
-which is m independent Bernoulli(q) flags.  Per-block PCG64 streams keyed by
-(seed, block_index) make a session bit-for-bit reproducible however the
-pulse loop is chunked.
+(AB only, both or BC only), Bob's bit and, per node, an error flag.  That is
+the law of drawing every pulse and applying the click rule above (the
+per-pulse oracle in `tests/test_simulation.py` checks this), at a cost that
+follows the events, not the pulses.  A label costs about one random byte:
+its uniform is read to 72 bits, but only an event whose first byte equals a
+threshold's first base-256 digit draws the other 64.  A node's error flags
+over its m events are a Binomial(m, q) count placed on a uniformly random
+subset of the events, which is m independent Bernoulli(q) flags.  Per-block
+PCG64 streams keyed by (seed, block_index) make a session bit-for-bit
+reproducible however the pulse loop is chunked.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -122,103 +120,77 @@ def _raw_bytes(rng, n: int) -> np.ndarray:
 
 
 def _digits(t: float):
-    """t in [0, 1] as (head, tail): 256 t = head + 0.tail, tail in base-2^64 digits.
+    """floor(2^72 t) for t in [0, 1], as (head, tail): t's first base-256 digit, then 64 bits.
 
-    The expansion is exact (a float is a dyadic rational), so the tail is
-    finite, ends on a non-zero digit and is empty when 256 t is a whole
-    number; head is 256 for t = 1.
+    Exact (t * 2^72 only shifts t's exponent); head is 256 for t = 1.
     """
-    num, den = t.as_integer_ratio()
-    rest = den.bit_length() - 9  # bits of t after its first base-256 digit
-    if rest <= 0:
-        return num << -rest, []
-    words = -(-rest // 64)
-    head, tail = divmod(num << (64 * words - rest), 1 << (64 * words))
-    return head, [(tail >> (64 * i)) & (2**64 - 1) for i in reversed(range(words))]
+    x = int(math.ldexp(t, 72))
+    return x >> 64, x & (2**64 - 1)
 
 
 def _below(rng, first: np.ndarray, thresholds) -> list:
-    """Per threshold t, the mask [U < t] over uniforms U whose first base-256 digits are `first`.
+    """Per threshold t, the mask [U < t] over uniforms U whose first random bytes are `first`.
 
-    A U whose digits so far equal those of some t draws its next 64 bits,
-    once for all thresholds, until a digit differs (odds 2^-64 per word) or
-    t's digits run out, where U >= t.  So the mask is exact, not a float
-    comparison.
+    U is read to 72 bits: a U whose first byte equals some t's head draws
+    64 more bits, once for all thresholds, and is below t when they are
+    below t's tail.  So [U < t] holds with probability floor(2^72 t) / 2^72,
+    within 2^-72 of t, from about one byte per U.
     """
     cuts = [_digits(t) for t in thresholds]
-    below = [first < head for head, _ in cuts]
-    tied = [first == head for head, _ in cuts]
-    for level in itertools.count():
-        for tie, (_, tail) in zip(tied, cuts):
-            if level == len(tail):
-                tie[:] = False  # U's digits equal all of t's: U >= t
-        drawn = np.flatnonzero(np.logical_or.reduce(tied))
-        if not len(drawn):
-            return below
-        word = rng.bit_generator.random_raw(len(drawn))
-        for mask, tie, (_, tail) in zip(below, tied, cuts):
-            if level < len(tail):
-                at = tie[drawn]
-                mask[drawn[at & (word < tail[level])]] = True
-                tie[drawn] = at & (word == tail[level])
-
-
-def _labels(rng, n: int, ab_only: float, ab: float):
-    """Labels of n events by a uniform U each: the mask of U < ab_only, and where ab_only <= U < ab.
-
-    U's first random byte settles every event but those whose byte equals
-    the first base-256 digit of a cut point or lies between the two, and
-    only those are compared further (`_below`).
-    """
-    first = _raw_bytes(rng, n)
-    (lo, _), (hi, _) = _digits(ab_only), _digits(ab)
-    span = np.flatnonzero((first >= lo) & (first <= hi))
-    below_lo, below_hi = _below(rng, first[span], (ab_only, ab))
-    ab_only_mask = first < lo
-    ab_only_mask[span[below_lo]] = True
-    return ab_only_mask, span[below_hi & ~below_lo]
+    tied = np.zeros(len(first), dtype=bool)
+    for head, _ in cuts:
+        tied |= first == head
+    tied = np.flatnonzero(tied)
+    first_tied, rest = first[tied], rng.bit_generator.random_raw(len(tied))
+    masks = []
+    for head, tail in cuts:
+        below = first < head
+        below[tied] |= (first_tied == head) & (rest < tail)
+        masks.append(below)
+    return masks
 
 
 def _block_events(rng, cnt: int, laws):
-    """Per node law (P(conclusive), P(error | conclusive)): the block's labels and keys.
+    """Per node law (P(conclusive), P(error | conclusive)): event marks, Bob's bits, errors.
 
     The nodes are independent per pulse, so the block's events (pulses
     conclusive at either node) are Binomial(cnt, p_any) in number, with
     p_any = pa + pb (1 - pa), and each is independently AB only, both or BC
     only with probabilities proportional to pa (1 - pb), pa pb and (1 - pa) pb.
     One uniform U per event picks its label from the intervals
-    [AB only | both | BC only] of [0, 1), compared exactly (`_labels`).
+    [AB only | both | BC only] of [0, 1), read about a byte at a time
+    (`_below`).  Every event carries one uniform bit, Bob's, in the key of
+    each node where it is conclusive.  So each node draws one fresh bit per
+    event of its own, and at the events of both the AB bit is copied into
+    the BC key.  A node's error flags are a Binomial(m, q) count of its m
+    events, placed on a uniformly random subset of them: m Bernoulli(q)
+    flags.
 
-    Every event carries one uniform key bit, in the key of each node where
-    it is conclusive.  So each node draws one fresh bit per event of its
-    own, and at the events of both the AB bit is copied into the BC key:
-    the j-th shared event, at merged index s_j after A_j AB-only events,
-    holds bit j + A_j of the AB key and bit s_j - A_j of the BC key.  A
-    node's error flags are a Binomial(m, q) count of its m events, placed on
-    a uniformly random subset of them: m Bernoulli(q) flags.
-
-    Returns ((ab_only, shared), [(bits, errors) for AB, BC]): ab_only marks
-    the events conclusive at AB alone, shared lists the indices of those
-    conclusive at both, and the rest are BC only.
+    Returns [(at, bits, errors) for AB, BC]: `at` marks the node's events in
+    the block's merged stream of events.
     """
     (pa, _), (pb, _) = laws
     p_any = pa + pb * (1.0 - pa)  # never above 1, and exactly 1 when pa or pb is
     n = int(rng.binomial(cnt, p_any))
     # U in [0, ab_only) is AB only, [ab_only, ab) both and [ab, 1) BC only.
     ab, ab_only = (pa / p_any, pa * (1.0 - pb) / p_any) if p_any else (0.0, 0.0)
-    ab_only_mask, shared = _labels(rng, n, ab_only, ab)
-    n_ab_only = np.count_nonzero(ab_only_mask)
-    counts = (n_ab_only + len(shared), n - n_ab_only)
-    bits = [np.unpackbits(_raw_bytes(rng, (m + 7) >> 3), count=m) for m in counts]
+    ab_only_mask, at_ab = _below(rng, _raw_bytes(rng, n), (ab_only, ab))
+    at_bc = ~ab_only_mask
+    shared = np.flatnonzero(at_ab & at_bc)
+    keys = [np.unpackbits(_raw_bytes(rng, (m + 7) >> 3), count=m)
+            for m in (np.count_nonzero(at_ab), np.count_nonzero(at_bc))]
     if len(shared):
+        # The j-th shared event, at index s_j after A_j AB-only events, is
+        # bit j + A_j of the AB key and bit s_j - A_j of the BC key.
         a_before = np.add.reduceat(ab_only_mask, np.r_[0, shared], dtype=np.int32)[:-1].cumsum()
-        bits[1][shared - a_before] = bits[0][np.arange(len(shared)) + a_before]
-    nodes = []
-    for key, m, (_, q) in zip(bits, counts, laws):
+        keys[1][shared - a_before] = keys[0][np.arange(len(shared)) + a_before]
+    events = []
+    for at, key, (_, q) in zip((at_ab, at_bc), keys, laws):
+        m = len(key)
         err = np.zeros(m, dtype=bool)
         err[rng.choice(m, rng.binomial(m, q), replace=False, shuffle=False)] = True
-        nodes.append((key, err))
-    return (ab_only_mask, shared), nodes
+        events.append((at, key, err))
+    return events
 
 
 def _joined(parts) -> np.ndarray:
@@ -258,7 +230,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     n = config.n_pulses
     for bi in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
         cnt = min(n - bi * BLOCK_SIZE, BLOCK_SIZE)
-        for i, (bob, err) in enumerate(_block_events(_block_rng(config.seed, bi), cnt, laws)[1]):
+        for i, (_, bob, err) in enumerate(_block_events(_block_rng(config.seed, bi), cnt, laws)):
             bobs[i].append(bob)
             ends[i].append(bob ^ err)  # Alice's bits at AB, Charlie's at BC
             errors[i] += np.count_nonzero(err)

@@ -275,6 +275,19 @@ class TestSimulateCommand:
             "secret key rate bps       3.56138e+06\n"
         )
 
+    def test_table_prints_errors_at_both_nodes(self, capsys):
+        args = ["simulate", "--pulses", "200000", "--mu", "0.2",
+                "--distance-km", "250", "--seed", "11", "--y0", "1e-4"]
+        assert dispatch(args) == 0
+        assert capsys.readouterr().err == (
+            "conclusive AB / BC        4536 / 4567\n"
+            "qber AB / BC              0.00308642 / 0.0063499\n"
+            "sifted rate (bottleneck)  0.022835\n"
+            "holevo deduction chi      0.841787\n"
+            "secret key rate /pulse    0.00234591\n"
+            "secret key rate bps       2.34591e+06\n"
+        )
+
 
 class TestPlanCommand:
     def test_seven_party_plan(self, tmp_path, capsys):

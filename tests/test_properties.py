@@ -15,7 +15,6 @@ from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
 from twinfield_qka.simulation import _block_events, _block_rng  # noqa: E402
 from test_network import ID_SLOTS, edge_entries  # noqa: E402
-from test_simulation import node_positions  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -29,8 +28,8 @@ PROBABILITIES = st.one_of(
 @given(cnt=st.integers(0, 5000), pa=PROBABILITIES, pb=PROBABILITIES,
        qa=PROBABILITIES, qb=PROBABILITIES, seed=st.integers(0, 2**32 - 1))
 def test_block_events_are_one_merged_stream(cnt, pa, pb, qa, qb, seed):
-    labels, nodes = _block_events(_block_rng(seed, 0), cnt, [(pa, qa), (pb, qb)])
-    events = [(idx, bob, err) for idx, (bob, err) in zip(node_positions(labels), nodes)]
+    events = [(np.flatnonzero(at), bob, err)
+              for at, bob, err in _block_events(_block_rng(seed, 0), cnt, [(pa, qa), (pb, qb)])]
     for (idx, bob, err), p, q in zip(events, (pa, pb), (qa, qb)):
         assert np.all(np.diff(idx) > 0)
         assert bob.dtype == np.uint8 and np.all(bob <= 1)

@@ -97,25 +97,16 @@ def per_pulse_session(config):
     return [tuple(np.concatenate(parts) for parts in zip(*node)) for node in nodes]
 
 
-def node_positions(labels):
-    """Per node (AB, BC), the merged-stream indices of its events, from a block's labels."""
-    ab_only, shared = labels
-    at_ab = ab_only.copy()
-    at_ab[shared] = True
-    return np.flatnonzero(at_ab), np.flatnonzero(~ab_only)
-
-
 def recorded_session(config, monkeypatch):
     """run_session, and per node the events it drew: positions, flipper's bits, Bob's bits."""
     blocks = []
     real = simulation._block_events
 
     def spy(rng, cnt, laws):
-        labels, nodes = real(rng, cnt, laws)
+        events = real(rng, cnt, laws)
         offset = len(blocks) * BLOCK_SIZE
-        blocks.append([(pos + offset, bob ^ err, bob)
-                       for pos, (bob, err) in zip(node_positions(labels), nodes)])
-        return labels, nodes
+        blocks.append([(np.flatnonzero(at) + offset, bob ^ err, bob) for at, bob, err in events])
+        return events
 
     monkeypatch.setattr(simulation, "_block_events", spy)
     res = run_session(config)
@@ -440,9 +431,8 @@ class TestEventSampling:
             assert np.array_equal(l_key[:len(s_key)], s_key)
 
     def test_never_conclusive_gives_no_events(self):
-        labels, nodes = _block_events(_block_rng(0, 0), 5000, [(0.0, 0.0), (0.0, 0.0)])
-        for pos, (bob, err) in zip(node_positions(labels), nodes):
-            assert len(pos) == len(bob) == len(err) == 0
+        for at, bob, err in _block_events(_block_rng(0, 0), 5000, [(0.0, 0.0), (0.0, 0.0)]):
+            assert len(at) == len(bob) == len(err) == 0
             assert bob.dtype == np.uint8
 
     def test_always_conclusive_has_no_gaps(self):
@@ -452,9 +442,8 @@ class TestEventSampling:
                                         y0=0.0, dark_count_prob=0.0, seed=8))
         assert res.conclusive_counts == {"AB": n, "BC": n}
         assert np.array_equal(res.sifted_ab[1], res.sifted_bc[0])
-        labels, _ = _block_events(_block_rng(8, 0), n, [(1.0, 0.0), (1.0, 0.0)])
-        for pos in node_positions(labels):
-            assert np.array_equal(pos, np.arange(n))
+        for at, _, _ in _block_events(_block_rng(8, 0), n, [(1.0, 0.0), (1.0, 0.0)]):
+            assert len(at) == n and at.all()
 
     def test_rare_events_terminate(self):
         # m = 5e-10 per arm gives P(conclusive) close to 1e-9.
@@ -462,9 +451,9 @@ class TestEventSampling:
                             y0=0.0, dark_count_prob=0.0, seed=9)
         res = run_session(cfg)
         assert res.conclusive_counts["AB"] <= 5
-        labels, nodes = _block_events(_block_rng(9, 0), BLOCK_SIZE, [(1e-300, 0.0), (5e-324, 0.0)])
-        for pos, (bob, err) in zip(node_positions(labels), nodes):
-            assert len(pos) == len(bob) == len(err) == 0
+        for at, bob, err in _block_events(_block_rng(9, 0), BLOCK_SIZE,
+                                          [(1e-300, 0.0), (5e-324, 0.0)]):
+            assert len(at) == len(bob) == len(err) == 0
 
     def test_cost_follows_the_events(self):
         # About 2 events in the block: a per-pulse draw of any kind would
@@ -492,10 +481,9 @@ class TestEventSampling:
         probs = np.array([pa * (1 - pb), pa * pb, (1 - pa) * pb, (1 - pa) * (1 - pb)])
         counts, gaps = np.zeros(4), ([], [], [])
         for bi in range(blocks):
-            ab, bc = node_positions(_block_events(_block_rng(12, bi), BLOCK_SIZE, laws)[0])
-            label = np.zeros(len(np.union1d(ab, bc)), dtype=np.int8)
-            label[ab] += 1
-            label[bc] += 2  # 1 AB only, 3 both, 2 BC only
+            (ab, _, _), (bc, _, _) = _block_events(_block_rng(12, bi), BLOCK_SIZE, laws)
+            label = ab + 2 * bc.astype(np.int8)  # 1 AB only, 3 both, 2 BC only
+            assert label.all()  # every event is conclusive at a node
             for gap, code in zip(gaps, (1, 3, 2)):
                 gap.append(np.diff(np.flatnonzero(label == code), prepend=-1))
             counts[:3] += [np.count_nonzero(label == code) for code in (1, 3, 2)]
@@ -508,28 +496,14 @@ class TestEventSampling:
             assert geometric_gap_tail(np.concatenate(gap), p) >= TAIL_5_SIGMA, p
 
 
-class ScriptedRng:
-    """Stands in for a Generator whose bit_generator.random_raw gives the listed words in turn."""
-
-    def __init__(self, words):
-        self.words, self.calls = iter(words), 0
-        self.bit_generator = self
-
-    def random_raw(self, size):
-        self.calls += 1
-        return np.full(size, next(self.words), dtype=np.uint64)
-
-
 class TestExactLabels:
-    """_below compares a uniform U with a float threshold exactly, a base-256 digit at a time."""
+    """_below reads a uniform U to 72 bits: [U < t] holds with probability floor(2^72 t) / 2^72."""
 
     @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, 2**-9, 0.3, 1.0 - 2**-53, 1.0])
-    def test_digits_are_the_exact_expansion(self, t):
+    def test_digits_are_the_first_72_bits(self, t):
         head, tail = _digits(t)
-        assert 0 <= head <= 256 and all(0 <= w < 2**64 for w in tail)
-        value = Fraction(head) + sum(Fraction(w, 2 ** (64 * i)) for i, w in enumerate(tail, 1))
-        assert value == 256 * Fraction(t)
-        assert not tail or tail[-1] != 0
+        assert 0 <= head <= 256 and 0 <= tail < 2**64
+        assert head * 2**64 + tail == math.floor(2**72 * Fraction(t))
 
     @pytest.mark.parametrize("t, share", [(0.0, 0), (5e-324, 0), (1.0 - 2**-53, 1), (1.0, 1)])
     def test_edge_thresholds(self, t, share):
@@ -548,22 +522,6 @@ class TestExactLabels:
         p = 256 * t - head
         assert abs(np.count_nonzero(below) - n * p) < 5 * math.sqrt(n * p * (1 - p))
 
-    @pytest.mark.parametrize("last, below", [((1 << 22) - 1, True), (1 << 22, False),
-                                             ((1 << 22) + 1, False)])
-    def test_a_tie_draws_until_a_digit_differs(self, last, below):
-        # 5e-324 = 2^-1074: first digit 0, then sixteen zero words and 2^22.
-        assert _digits(5e-324) == (0, [0] * 16 + [1 << 22])
-        rng = ScriptedRng([0] * 16 + [last])
-        assert _below(rng, np.zeros(1, dtype=np.uint8), [5e-324])[0][0] == below
-        assert rng.calls == 17
-
-    def test_thresholds_share_the_drawn_bits(self):
-        # One word per level serves both thresholds: U lies between 2^-1074 and 2^-1073.
-        rng = ScriptedRng([0] * 16 + [(1 << 22) + 5])
-        low, high = _below(rng, np.zeros(1, dtype=np.uint8), [5e-324, 2 * 5e-324])
-        assert not low[0] and high[0]
-        assert rng.calls == 17
-
 
 class TestSuccesses:
     """Each node's error flags against the law of Bernoulli(q) trials over its events.
@@ -574,7 +532,7 @@ class TestSuccesses:
 
     @pytest.mark.parametrize("p", [1e-300, 5e-324])
     def test_vanishing_p_has_no_successes(self, p):
-        _, ((_, err), _) = _block_events(_block_rng(7, 0), BLOCK_SIZE, [(1.0, p), (0.0, 0.0)])
+        (_, _, err), _ = _block_events(_block_rng(7, 0), BLOCK_SIZE, [(1.0, p), (0.0, 0.0)])
         assert len(err) == BLOCK_SIZE and not err.any()
 
     @pytest.mark.parametrize("p", [1e-3, 0.0222, 0.3, 0.5, 0.9])
@@ -582,8 +540,7 @@ class TestSuccesses:
         n, blocks = BLOCK_SIZE, 4
         gaps, count = [], 0
         for bi in range(blocks):
-            _, ((_, err), _) = _block_events(_block_rng(int(p * 1e4), bi), n,
-                                             [(1.0, p), (0.0, 0.0)])
+            (_, _, err), _ = _block_events(_block_rng(int(p * 1e4), bi), n, [(1.0, p), (0.0, 0.0)])
             pos = np.flatnonzero(err)
             count += len(pos)
             gaps.append(np.diff(pos, prepend=-1))
@@ -599,7 +556,7 @@ class TestSuccesses:
         for node, (_, q) in enumerate(laws):
             gaps, errors, events = [], 0, 0
             for bi in range(4):
-                _, err = _block_events(_block_rng(config.seed, bi), BLOCK_SIZE, laws)[1][node]
+                _, _, err = _block_events(_block_rng(config.seed, bi), BLOCK_SIZE, laws)[node]
                 idx = np.flatnonzero(err)
                 errors, events = errors + len(idx), events + len(err)
                 gaps.append(np.diff(idx, prepend=-1))
