@@ -16,7 +16,6 @@ import numpy as np
 
 from twinfield_qka import (
     SessionConfig,
-    reconcile_pair,
     run_session,
     symmetric_rate,
     transmittance_from_distance,
@@ -37,8 +36,9 @@ print(format_session_result(result))
 
 alice, bob_ab = result.sifted_ab
 bob_bc, charlie = result.sifted_bc
-announcement, k_ab, k_bc = reconcile_pair(bob_ab, bob_bc)
-n = len(announcement)
+n = min(len(bob_ab), len(bob_bc))
+k_ab, k_bc = bob_ab[:n], bob_bc[:n]
+announcement = k_ab ^ k_bc  # Bob's public bridge: one XOR announcement over the shorter key
 
 # Alice holds k_AB, Charlie holds k_BC; the public XOR lets each recover
 # the other pair's key without revealing either.  With real detector

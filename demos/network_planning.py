@@ -59,10 +59,7 @@ print(f"network rate             : {plan.network_rate:.3e} bits/pulse")
 rng = np.random.default_rng(7)
 keys = [rng.integers(0, 2, 128, dtype=np.uint8) for _ in plan.segments]
 global_key, announcements = reconcile_network(keys, plan)
-everyone_agrees = all(
-    np.array_equal(derive_global_key(announcements, i, keys[i]), global_key)
-    for i in range(len(keys))
-)
+everyone_agrees = bool((derive_global_key(announcements, keys) == global_key).all())
 print(f"\n{len(announcements)} public XOR announcements chain the segments")
 print(f"all parties derive the same 128-bit group key: {everyone_agrees}")
 

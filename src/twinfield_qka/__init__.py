@@ -56,7 +56,6 @@ from .network import (
 from .simulation import (
     SessionConfig,
     SessionResult,
-    reconcile_pair,
     run_session,
 )
 

@@ -20,7 +20,7 @@ from . import selfcheck
 from .discrimination import compose_error, discriminate
 from .errors import UsageError, ValidationError
 from .keyrate import asymptotic_rate, transmittance_from_distance
-from .network import PartyGraph, plan_network, reconcile_network
+from .network import PartyGraph, derive_global_key, plan_network, reconcile_network
 from .simulation import (
     SessionConfig,
     _key_digest,
@@ -129,9 +129,9 @@ def _plan_json(plan, reconciliation: dict) -> str:
     recon = sorted(reconciliation.items())
     bottleneck, network_rate, *texts = _scalars([
         plan.bottleneck_distance, plan.network_rate,
-        *plan.intra_announcers, *plan.per_segment_rate, *(v for _, v in recon),
+        *(s.center for s in plan.segments), *plan.per_segment_rate, *(v for _, v in recon),
     ])
-    centers, rates = texts[:n], texts[n:2 * n]  # intra_announcers are the segment centers
+    centers, rates = texts[:n], texts[n:2 * n]
     recon_items = [f'    "{k}": {t}' for (k, _), t in zip(recon, texts[2 * n:])]
     members = _rows([s.members for s in plan.segments], "      ")
     link_km = _rows([s.arm_distances for s in plan.segments], "      ")
@@ -196,8 +196,8 @@ def _arm_kms(args):
 
 
 def _check_positive(flag: str, value: float) -> None:
-    if value <= 0:  # NaN passes on to the library's finite check
-        raise ValidationError(f"{flag} must be > 0, got {value}")
+    if not 0 < value < math.inf:  # also true for NaN
+        raise ValidationError(f"{flag} must be finite and > 0, got {value}")
 
 
 def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
@@ -277,17 +277,14 @@ def _segment_keys(rng, n_segments: int, n_bits: int) -> np.ndarray:
     return rng.integers(0, 2, (n_segments, padded), dtype=np.uint8)[:, :n_bits]
 
 
-def _all_converge(keys, global_key, announcements) -> bool:
-    """derive_global_key's verdict for every segment, in one pass over the announcements."""
-    n_bits = len(global_key)
-    path = {0: np.zeros(n_bits, dtype=np.uint8)}  # XOR of the announcements up to segment 0
-    for par, child, bits in announcements:  # every parent is listed before its children
-        path[child] = path[par] ^ bits
-    paths = np.array([path[i] for i in range(len(keys))])
-    return bool(((np.asarray(keys)[:, :n_bits] ^ paths) == global_key).all())
-
-
 def _cmd_plan(args) -> int:
+    _check_positive("--mu", args.mu)
+    if args.delta_ec < 0:
+        raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
+    if args.key_length < 1:
+        raise UsageError("--key-length must be >= 1")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.network == "-":
         text = sys.stdin.read()
     else:
@@ -296,22 +293,15 @@ def _cmd_plan(args) -> int:
                 text = fh.read()
         except OSError as exc:
             raise ValidationError(f"cannot read network file {args.network!r}: {exc}") from exc
-    graph = PartyGraph.from_json(text)
-    _check_positive("--mu", args.mu)
-    if args.delta_ec < 0:
-        raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
-    if args.key_length < 1:
-        raise UsageError("--key-length must be >= 1")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
-    plan = plan_network(graph, mu=args.mu, delta_ec=args.delta_ec)
+    plan = plan_network(PartyGraph.from_json(text), mu=args.mu, delta_ec=args.delta_ec)
 
     keys = _segment_keys(np.random.default_rng(args.seed), len(plan.segments), args.key_length)
     global_key, announcements = reconcile_network(keys, plan)
+    recovered = derive_global_key(announcements, keys)
     reconciliation = {
         "key_length": args.key_length,
         "announcements": len(announcements),
-        "all_parties_converge": _all_converge(keys, global_key, announcements),
+        "all_parties_converge": bool((recovered == global_key).all()),
         "global_key_sha256": _key_digest(global_key),
     }
     _write_text(_plan_json(plan, reconciliation), args.out)

@@ -5,8 +5,11 @@ The tree is decomposed into segments of three consecutive parties (plus at
 most one two-party segment when N is even); adjacent segments overlap in
 exactly one shared party, every party belongs to at least one segment, and
 for odd N the segment count n satisfies 2n + 1 = N.  Each segment runs the
-three-party protocol on its two links; shared parties then chain the
-per-segment keys into one group key by public XOR announcements.
+three-party protocol on its two links.  One rule, written only here, then
+chains the segment keys into one group key: over a tree of segments linked
+by shared parties, a shared party announces each parent key XOR child key
+(`reconcile_network`), and every segment recovers segment 0's key as its own
+key XOR the announcements on its path to segment 0 (`derive_global_key`).
 
 Two valid segments never share an edge, so segmentation is a partition of
 the tree's N-1 edges into pairs of edges that meet at a party, plus one
@@ -30,9 +33,10 @@ from dataclasses import dataclass
 from itertools import combinations, starmap
 from operator import itemgetter
 
+import numpy as np
+
 from .errors import PlanningError, UsageError, ValidationError
 from .keyrate import asymptotic_rate, transmittance_from_distance
-from .simulation import _as_key_bits, _cut_to_shortest
 
 
 def _id_key(party):
@@ -79,11 +83,15 @@ class Segment:
 class NetworkPlan:
     tree_edges: tuple
     segments: tuple
-    intra_announcers: tuple  # segment centers, one per segment
     inter_announcers: tuple  # parties shared between segments
     bottleneck_distance: float
     per_segment_rate: tuple
     network_rate: float
+
+    @property
+    def intra_announcers(self) -> tuple:
+        """The segment centers, one per segment."""
+        return tuple(s.center for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -313,7 +321,6 @@ def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) 
     return NetworkPlan(
         tree_edges=tuple(tree_edges),
         segments=tuple(segments),
-        intra_announcers=tuple(s.center for s in segments),
         inter_announcers=shared,
         bottleneck_distance=max(segments[worst].arm_distances),
         per_segment_rate=tuple(rates),
@@ -329,6 +336,27 @@ def plan_network(graph: PartyGraph, mu: float = 0.2, delta_ec: float = 0.0) -> N
 
 
 # --- key reconciliation across segments -------------------------------------
+
+
+def _as_key_bits(bits) -> np.ndarray:
+    """bits as a 1-D uint8 array; other dtypes are compared, since a cast truncates 0.5."""
+    arr = np.asarray(bits)
+    if arr.dtype == np.uint8:
+        valid = not arr.tobytes().translate(None, b"\0\1")  # what is left is not a bit
+    else:
+        ones = arr == 1
+        valid = bool((ones | (arr == 0)).all())
+        arr = ones.astype(np.uint8)
+    if not valid or arr.ndim != 1:
+        raise ValidationError("key bits must be a 1-D sequence of 0s and 1s")
+    return arr
+
+
+def _cut_to_shortest(keys) -> list:
+    """Each key as _as_key_bits reads it, all cut to the length of the shortest."""
+    keys = [_as_key_bits(k) for k in keys]
+    n_bits = min(map(len, keys), default=0)
+    return [k[:n_bits] for k in keys]
 
 
 def _segment_adjacency_tree(plan: NetworkPlan):
@@ -365,8 +393,7 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     a parent segment's key with a child segment's key along the segment
     adjacency tree rooted at segment 0.  Returns (global_key, announcements)
     where each announcement is (parent_index, child_index, xor_bits).  The
-    group key is segment 0's truncated key; every other segment recovers it
-    by XOR-ing its own key with the announcements on its path to the root.
+    group key is segment 0's truncated key; derive_global_key recovers it.
     """
     keys = _cut_to_shortest(segment_keys)
     if not keys:
@@ -382,17 +409,25 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     return keys[0], announcements
 
 
-def derive_global_key(announcements, segment_index: int, segment_key):
-    """Recover the group key from one segment's own key plus the announcements."""
-    parent = {child: (par, bits) for par, child, bits in announcements}
-    key = _as_key_bits(segment_key)
-    if announcements:
-        key = key[: len(announcements[0][2])]
-    seg = segment_index
-    while seg != 0:
-        if seg not in parent:
-            raise ValidationError(f"segment {seg} is not linked by any announcement")
-        par, bits = parent[seg]
-        key = key ^ bits
-        seg = par
-    return key
+def derive_global_key(announcements, segment_keys) -> np.ndarray:
+    """The group key as each segment recovers it: row i is key i XOR its path to segment 0.
+
+    Keys are cut to the announcements' length.  Every parent is announced
+    before its children, so one pass down the announcements builds each path.
+    """
+    keys = [_as_key_bits(k) for k in segment_keys]
+    n = len(announcements) + 1
+    if len(keys) != n:
+        raise ValidationError(f"got {len(keys)} keys for the {n} segments the announcements link")
+    n_bits = len(announcements[0][2]) if announcements else len(keys[0])
+    for i, key in enumerate(keys):
+        if len(key) < n_bits:
+            raise ValidationError(f"segment {i}'s key has {len(key)} bits, announcements {n_bits}")
+    paths = np.zeros((n, n_bits), dtype=np.uint8)  # XOR of the announcements up to segment 0
+    linked = {0}
+    for par, child, bits in announcements:
+        if par not in linked or child in linked or not 0 < child < n:
+            raise ValidationError(f"announcement ({par}, {child}) does not link a new segment")
+        paths[child] = paths[par] ^ bits
+        linked.add(child)
+    return np.array([key[:n_bits] for key in keys]) ^ paths

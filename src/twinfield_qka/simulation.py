@@ -257,37 +257,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     )
 
 
-def reconcile_pair(k_ab, k_bc):
-    """Bridge announcement k_ab XOR k_bc after truncating to the shorter key.
-
-    Returns (announcement, common_ab, common_bc).  Anyone holding one of
-    the truncated keys recovers the other by XOR with the announcement.
-    """
-    a, b = _cut_to_shortest((k_ab, k_bc))
-    return a ^ b, a, b
-
-
-def _as_key_bits(bits) -> np.ndarray:
-    """bits as a 1-D uint8 array; other dtypes are compared, since a cast truncates 0.5."""
-    arr = np.asarray(bits)
-    if arr.dtype == np.uint8:
-        valid = not arr.tobytes().translate(None, b"\0\1")  # what is left is not a bit
-    else:
-        ones = arr == 1
-        valid = bool((ones | (arr == 0)).all())
-        arr = ones.astype(np.uint8)
-    if not valid or arr.ndim != 1:
-        raise ValidationError("key bits must be a 1-D sequence of 0s and 1s")
-    return arr
-
-
-def _cut_to_shortest(keys) -> list:
-    """Each key as _as_key_bits reads it, all cut to the length of the shortest."""
-    keys = [_as_key_bits(k) for k in keys]
-    n_bits = min(map(len, keys), default=0)
-    return [k[:n_bits] for k in keys]
-
-
 def _key_digest(bits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(bits)).hexdigest()
 

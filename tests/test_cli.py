@@ -12,17 +12,11 @@ import numpy as np
 import pytest
 
 from twinfield_qka import cli, simulation
-from twinfield_qka.cli import _all_converge, _segment_keys, dispatch, emit_csv, parse_sweep
+from twinfield_qka.cli import _segment_keys, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
-from twinfield_qka.network import (
-    Segment,
-    derive_global_key,
-    plan_rates,
-    reconcile_network,
-    segment_tree,
-)
-from test_network import assert_valid_decomposition, random_tree_edges
+from twinfield_qka.network import Segment, reconcile_network
+from test_network import assert_valid_decomposition, random_tree_edges, walk_to_root
 
 FIG_SEVEN_JSON = json.dumps(
     {
@@ -469,23 +463,35 @@ class TestPlanCommand:
         assert doc["reconciliation"]["all_parties_converge"] is True
         assert elapsed < 8.0, f"plan took {elapsed:.2f}s on a {n}-party path"
 
-    def test_convergence_check_agrees_with_derive_global_key(self):
+    def test_convergence_check_agrees_with_derive_global_key(self, monkeypatch, capsys):
+        # plan draws its own keys; one corrupted after reconciliation makes
+        # that segment's recovered key differ from the group key.
         rng = np.random.default_rng(404)
-        verdicts = set()
-        for _ in range(150):
-            edges = random_tree_edges(int(rng.integers(2, 40)), rng)
-            plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
-            keys = [rng.integers(0, 2, 24, dtype=np.uint8) for _ in plan.segments]
+        runs = []
+
+        def reconcile_then_corrupt(keys, plan):
             global_key, announcements = reconcile_network(keys, plan)
+            global_key = global_key.copy()  # segment 0's key, which may be corrupted next
             if rng.random() < 0.5:  # a party holding a corrupted key must not converge
-                i = int(rng.integers(len(keys)))
-                keys[i] = keys[i].copy()
-                keys[i][int(rng.integers(24))] ^= 1
+                keys[int(rng.integers(len(keys))), int(rng.integers(24))] ^= 1
+            runs.append((keys, global_key, announcements))
+            return global_key, announcements
+
+        monkeypatch.setattr(cli, "reconcile_network", reconcile_then_corrupt)
+        verdicts = set()
+        for seed in range(150):
+            edges = random_tree_edges(int(rng.integers(2, 40)), rng)
+            net = {"parties": list(range(len(edges) + 1)),
+                   "edges": [{"a": a, "b": b, "km": km} for a, b, km in edges]}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(net)))
+            assert dispatch(["plan", "-", "--key-length", "24", "--seed", str(seed)]) == 0
+            verdict = json.loads(capsys.readouterr().out)["reconciliation"]["all_parties_converge"]
+            keys, global_key, announcements = runs.pop()
             oracle = all(
-                np.array_equal(derive_global_key(announcements, i, key), global_key)
+                np.array_equal(walk_to_root(announcements, i, key), global_key)
                 for i, key in enumerate(keys)
             )
-            assert _all_converge(keys, global_key, announcements) == oracle
+            assert verdict == oracle
             verdicts.add(oracle)
         assert verdicts == {True, False}
 
@@ -551,7 +557,16 @@ class TestNonFiniteInputs:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "must be finite" in captured.err  # the input check, not a later failure
+        flag = next((a for a in argv if a in ("--mu", "--mu2")), None)
+        if flag is not None and argv[0] != "discriminate":  # discriminate accepts --mu 0
+            assert captured.err.startswith(f"error: {flag} must be finite and > 0, got ")
         assert not out.exists()
+
+    def test_plan_checks_mu_before_reading_the_document(self, tmp_path, capsys):
+        net = tmp_path / "net.json"
+        net.write_text("not json")
+        assert dispatch(["plan", str(net), "--mu", "inf"]) == 1
+        assert capsys.readouterr().err == "error: --mu must be finite and > 0, got inf\n"
 
 
 class TestOutOfRangeInputs:
@@ -591,7 +606,7 @@ class TestOutOfRangeInputs:
         (tmp_path / "NET").write_text(FIG_SEVEN_JSON)
         argv = [command, *([str(tmp_path / "NET")] if command == "plan" else []), "--mu", "0"]
         assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr() == ("", "error: --mu must be > 0, got 0.0\n")
+        assert capsys.readouterr() == ("", "error: --mu must be finite and > 0, got 0.0\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, err", [

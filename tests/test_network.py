@@ -1,6 +1,8 @@
 """Unit tests for network planning and cross-segment reconciliation."""
 
+import ast
 import heapq
+import inspect
 import math
 import time
 from itertools import combinations
@@ -8,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from twinfield_qka import network
 from twinfield_qka.errors import PlanningError, UsageError, ValidationError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
@@ -22,7 +25,7 @@ from twinfield_qka.network import (
     reconcile_network,
     segment_tree,
 )
-from twinfield_qka.simulation import SessionConfig, reconcile_pair, run_session
+from twinfield_qka.simulation import SessionConfig, run_session
 
 FIG_SEVEN_EDGES = [
     (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
@@ -140,6 +143,36 @@ def all_pairs_adjacency_tree(plan):
                 parent[j] = i
                 order.append(j)
     return parent, order
+
+
+def walk_to_root(announcements, segment_index, segment_key):
+    """Oracle: the group key as one segment recovers it, walking up to segment 0.
+
+    derive_global_key recovers every segment's key in one pass down the
+    announcements instead.
+    """
+    parent = {child: (par, bits) for par, child, bits in announcements}
+    key = np.asarray(segment_key, dtype=np.uint8)
+    if announcements:
+        key = key[: len(announcements[0][2])]
+    seg = segment_index
+    while seg != 0:
+        par, bits = parent[seg]
+        key = key ^ bits
+        seg = par
+    return key
+
+
+def test_network_imports_nothing_from_simulation_or_cli():
+    # The key-agreement rule is written once, in network, below the session and CLI layers.
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(network))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert not imported & {"simulation", "cli"}
 
 
 class TestPartyGraph:
@@ -554,15 +587,14 @@ class TestPlanRates:
 
 
 class TestKeyBits:
-    """reconcile_pair, reconcile_network and derive_global_key share one key-bit check."""
+    """reconcile_network and derive_global_key share one key-bit check."""
 
     ZEROS = [0, 0, 0]
     #: Each call returns its key's bits unchanged: XOR with all-zero partners.
     CALLS = {
-        "reconcile_pair": lambda key, plan: reconcile_pair(key, TestKeyBits.ZEROS)[0],
         "reconcile_network": lambda key, plan: reconcile_network([key, TestKeyBits.ZEROS], plan)[0],
         "derive_global_key": lambda key, plan: derive_global_key(
-            reconcile_network([TestKeyBits.ZEROS] * 2, plan)[1], 1, key),
+            reconcile_network([TestKeyBits.ZEROS] * 2, plan)[1], [TestKeyBits.ZEROS, key])[1],
     }
 
     @staticmethod
@@ -585,6 +617,21 @@ class TestKeyBits:
         assert out.dtype == np.uint8
         np.testing.assert_array_equal(out, [0, 1, 1])
 
+    @pytest.mark.parametrize("short", [0, 1])
+    def test_key_shorter_than_announcements_names_its_segment(self, short):
+        _, announcements = reconcile_network([[0, 1, 1, 0]] * 2, self.two_segment_plan())
+        keys = [[0, 1, 1, 0], [0, 1, 1, 0]]
+        keys[short] = [0, 1]
+        message = f"segment {short}'s key has 2 bits, announcements 4"
+        with pytest.raises(ValidationError, match=message):
+            derive_global_key(announcements, keys)
+
+    @pytest.mark.parametrize("n_keys", [0, 1, 3])
+    def test_key_count_must_match_linked_segments(self, n_keys):
+        _, announcements = reconcile_network([[0, 1, 1, 0]] * 2, self.two_segment_plan())
+        with pytest.raises(ValidationError, match=f"got {n_keys} keys for the 2 segments"):
+            derive_global_key(announcements, [[0, 1, 1, 0]] * n_keys)
+
 
 class TestReconcileNetwork:
     def test_two_segment_worked_example(self):
@@ -597,7 +644,13 @@ class TestReconcileNetwork:
         assert len(announcements) == 1
         _, _, bits = announcements[0]
         np.testing.assert_array_equal(bits, [1, 1, 0, 1])
-        np.testing.assert_array_equal(derive_global_key(announcements, 1, s2), s1)
+        np.testing.assert_array_equal(derive_global_key(announcements, [s1, s2]), [s1, s1])
+
+    def test_identical_keys_announce_zeros(self):
+        plan = plan_rates(segment_tree([(i, i + 1, 10.0) for i in range(1, 5)]), 0.2)
+        key = np.array([1, 0, 1], dtype=np.uint8)
+        _, [(_, _, bits)] = reconcile_network([key, key], plan)
+        assert not bits.any()
 
     def test_single_segment_no_announcements(self):
         plan = plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), 0.2)
@@ -605,6 +658,7 @@ class TestReconcileNetwork:
         global_key, announcements = reconcile_network([key], plan)
         np.testing.assert_array_equal(global_key, key)
         assert announcements == []
+        np.testing.assert_array_equal(derive_global_key(announcements, [key]), [key])
 
     def test_three_chained_segments(self):
         edges = [(i, i + 1, 10.0) for i in range(1, 7)]
@@ -613,22 +667,30 @@ class TestReconcileNetwork:
         keys = [rng.integers(0, 2, 40, dtype=np.uint8) for _ in plan.segments]
         global_key, announcements = reconcile_network(keys, plan)
         assert len(announcements) == 2
-        for i, key in enumerate(keys):
-            np.testing.assert_array_equal(
-                derive_global_key(announcements, i, key), global_key
-            )
+        np.testing.assert_array_equal(derive_global_key(announcements, keys), [global_key] * 3)
 
     def test_keys_truncated_to_shortest(self):
         plan = plan_rates(segment_tree([(i, i + 1, 10.0) for i in range(1, 5)]), 0.2)
         s1 = np.ones(10, dtype=np.uint8)
         s2 = np.zeros(6, dtype=np.uint8)
-        global_key, _ = reconcile_network([s1, s2], plan)
+        global_key, announcements = reconcile_network([s1, s2], plan)
         assert len(global_key) == 6
+        np.testing.assert_array_equal(derive_global_key(announcements, [s1, s2]), [[1] * 6] * 2)
 
     def test_empty_key_set_rejected(self):
         plan = plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), 0.2)
         with pytest.raises(UsageError):
             reconcile_network([], plan)
+
+    @pytest.mark.parametrize("announcements", [
+        [(0, 0, [1]), (0, 1, [1])],  # segment 0 announced as a child
+        [(0, 1, [1]), (0, 1, [1])],  # segment 1 twice, segment 2 never
+        [(1, 2, [1]), (0, 1, [1])],  # a child announced before its parent
+        [(0, 1, [1]), (1, 3, [1])],  # a segment beyond the three linked
+    ])
+    def test_announcements_must_link_each_segment_once(self, announcements):
+        with pytest.raises(ValidationError, match="does not link a new segment"):
+            derive_global_key(announcements, [[0]] * 3)
 
     def test_random_topology_round_trips(self):
         rng = np.random.default_rng(99)
@@ -640,12 +702,11 @@ class TestReconcileNetwork:
             plan = plan_rates(segments, mu=0.2, tree_edges=edges)
             keys = [rng.integers(0, 2, 32, dtype=np.uint8) for _ in segments]
             global_key, announcements = reconcile_network(keys, plan)
+            recovered = derive_global_key(announcements, keys)
             for i, key in enumerate(keys):
-                np.testing.assert_array_equal(
-                    derive_global_key(announcements, i, key), global_key
-                )
+                np.testing.assert_array_equal(walk_to_root(announcements, i, key), global_key)
+                np.testing.assert_array_equal(recovered[i], global_key)
             done += 1
-
 
     def test_adjacency_tree_matches_all_pairs_oracle(self):
         rng = np.random.default_rng(303)

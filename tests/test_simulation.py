@@ -27,7 +27,6 @@ from twinfield_qka.simulation import (
     _digits,
     _raw_bytes,
     background_click_probability,
-    reconcile_pair,
     run_session,
     session_result_to_dict,
 )
@@ -591,35 +590,15 @@ class CountingRng:
         return counted
 
 
-class TestReconcilePair:
-    def test_xor_involution(self):
-        ann, a, b = reconcile_pair([1, 0, 1, 1], [0, 1, 1, 0])
-        np.testing.assert_array_equal(ann, [1, 1, 0, 1])
-        np.testing.assert_array_equal(ann ^ b, a)
-        np.testing.assert_array_equal(ann ^ a, b)
-
-    def test_truncates_to_shorter_key(self):
-        ann, a, b = reconcile_pair([1, 0, 1, 1, 0], [0, 1, 1])
-        assert len(ann) == len(a) == len(b) == 3
-        np.testing.assert_array_equal(a, [1, 0, 1])
-
-    def test_identical_keys_announce_zeros(self):
-        ann, _, _ = reconcile_pair([1, 0, 1], [1, 0, 1])
-        assert not ann.any()
-
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValidationError):
-            reconcile_pair([2, 0], [0, 1])
-
-
 class TestThreePartyRoundTrip:
     def test_all_parties_agree_in_loss_only_sessions(self):
         for seed in range(8):
             res = run_session(noiseless(20_000, total_km=60.0, seed=seed))
             alice, bob_ab = res.sifted_ab
             bob_bc, charlie = res.sifted_bc
-            ann, k_ab, k_bc = reconcile_pair(bob_ab, bob_bc)
-            n = len(ann)
+            n = min(len(bob_ab), len(bob_bc))
+            k_ab, k_bc = bob_ab[:n], bob_bc[:n]
+            ann = k_ab ^ k_bc
             alice_view_bc = ann ^ alice[:n]
             charlie_view_ab = ann ^ charlie[:n]
             np.testing.assert_array_equal(alice_view_bc, k_bc)
