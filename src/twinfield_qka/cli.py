@@ -32,6 +32,31 @@ from .simulation import (
 SWEEP_VARIABLES = ("distance_km", "mu")
 
 
+#: A domain (words, lo, hi) holds the values lo <= x < hi.
+POSITIVE = "finite and > 0", math.ulp(0.0), math.inf  # lo is the least float above 0
+NON_NEGATIVE = "finite and >= 0", 0.0, math.inf
+PROBABILITY = "in [0, 1)", 0.0, 1.0
+COUNT = ">= 1", 1, math.inf
+
+#: Every numeric flag, once: its domain and argparse settings.  build_parser adds
+#: each subcommand's flags from here, and _check_flags holds the values to them.
+FLAGS = {
+    "--mu": (POSITIVE, dict(type=float, default=0.2, help="source intensity")),
+    "--mu2": (POSITIVE, dict(type=float, help="second-link intensity (default: --mu)")),
+    "--distance-km": (NON_NEGATIVE, dict(
+        type=float, help="total fiber length, split evenly over the four arms")),
+    "--arm-km": (NON_NEGATIVE, dict(type=float, nargs=4, metavar=("L_A", "L_B", "L_B2", "L_C"),
+                                    help="fiber length of each arm")),
+    "--delta-ec": (NON_NEGATIVE, dict(
+        type=float, default=0.0, help="error-correction leakage per conclusive round (bits)")),
+    "--pulses": (COUNT, dict(type=int, default=100000, help="pulses sent")),
+    "--y0": (PROBABILITY, dict(type=float, default=2.45e-6, help="background yield per gate")),
+    "--dark": (PROBABILITY, dict(type=float, default=1e-6, help="dark-count probability")),
+    "--seed": ((">= 0", 0, math.inf), dict(type=int, default=0, help="random seed")),
+    "--key-length": (COUNT, dict(type=int, default=256, help="bits per segment key")),
+}
+
+
 def parse_sweep(text: str) -> tuple:
     """(variable, grid) from var:start:stop:steps; grid[0] is start, as Python floats."""
     parts = text.split(":")
@@ -44,8 +69,9 @@ def parse_sweep(text: str) -> tuple:
         start_f, stop_f, steps_i = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise UsageError(f"bad --sweep numbers in {text!r}: {exc}") from exc
-    if not (math.isfinite(start_f) and math.isfinite(stop_f)):
-        raise UsageError(f"sweep start and stop must be finite, got {start!r} and {stop!r}")
+    if not math.isfinite(stop_f - start_f):  # else np.linspace warns and returns NaN
+        raise UsageError("sweep start and stop must be finite, and so must stop - start, "
+                         f"got {start!r} and {stop!r}")
     if not start_f < stop_f:
         raise UsageError(f"sweep start must be < stop, got {start_f} >= {stop_f}")
     if steps_i < 2:
@@ -159,14 +185,8 @@ def _cmd_discriminate(args) -> int:
     q_pair_closed the published closed form; each _triple column composes
     its pair column over two independent nodes.
     """
-    if args.sweep is not None:
-        variable, mus = parse_sweep(args.sweep)
-        if variable != "mu":
-            raise UsageError("discriminate sweeps over mu only")
-    else:
-        mus = [args.mu]
     rows = []
-    for mu in mus:
+    for mu in args.sweep[1] if args.sweep is not None else [args.mu]:
         res = discriminate(mu)
         rows.append(
             {
@@ -186,18 +206,9 @@ def _arm_kms(args):
     if args.arm_km is not None and args.distance_km is not None:
         raise UsageError("give either --distance-km or --arm-km, not both")
     if args.arm_km is not None:
-        if min(args.arm_km) < 0:
-            raise UsageError("--arm-km lengths must be >= 0")
         return tuple(args.arm_km)
     total = args.distance_km if args.distance_km is not None else 0.0
-    if total < 0:
-        raise UsageError("--distance-km must be >= 0")
     return (total / 4.0,) * 4
-
-
-def _check_positive(flag: str, value: float) -> None:
-    if not 0 < value < math.inf:  # also true for NaN
-        raise ValidationError(f"{flag} must be finite and > 0, got {value}")
 
 
 def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
@@ -209,40 +220,28 @@ def _keyrate_row(mu1, mu2, link1_km, link2_km, delta_ec):
 
 
 def _cmd_keyrate(args) -> int:
-    _check_positive("--mu", args.mu)
     mu2 = args.mu2 if args.mu2 is not None else args.mu
-    _check_positive("--mu2", mu2)
-    if args.delta_ec < 0:
-        raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
-    l_a, l_b, l_bp, l_c = _arm_kms(args)
-    link1, link2 = l_a + l_b, l_bp + l_c
-
-    rows = []
-    if args.sweep is not None:
-        variable, grid = parse_sweep(args.sweep)
-        if variable == "distance_km":
-            if grid[0] < 0:
-                raise ValidationError("distance sweep must start at >= 0 km")
-            for total in grid:
-                half = total / 2.0
-                rows.append({"L_km": total,
-                             **_keyrate_row(args.mu, mu2, half, half, args.delta_ec)})
-        else:
-            if grid[0] <= 0:
-                raise ValidationError("mu sweep must start at > 0")
-            if args.mu2 is not None:
-                raise UsageError("mu sweeps drive both links; drop --mu2")
-            for mu in grid:
-                rows.append({"mu": mu, **_keyrate_row(mu, mu, link1, link2, args.delta_ec)})
+    variable, grid = args.sweep if args.sweep is not None else (None, None)
+    if variable == "distance_km":
+        if args.distance_km is not None or args.arm_km is not None:
+            raise UsageError("distance sweeps set every arm; drop --distance-km and --arm-km")
+        rows = [{"L_km": total, **_keyrate_row(args.mu, mu2, total / 2, total / 2, args.delta_ec)}
+                for total in grid]
     else:
-        rows.append({"L_km": link1 + link2, "mu": args.mu,
-                     **_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec)})
+        l_a, l_b, l_bp, l_c = _arm_kms(args)
+        link1, link2 = l_a + l_b, l_bp + l_c
+        if variable is None:
+            rows = [{"L_km": link1 + link2, "mu": args.mu,
+                     **_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec)}]
+        elif args.mu2 is not None:
+            raise UsageError("mu sweeps drive both links; drop --mu2")
+        else:
+            rows = [{"mu": mu, **_keyrate_row(mu, mu, link1, link2, args.delta_ec)} for mu in grid]
     _emit(rows, args)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    _check_positive("--mu", args.mu)
     config = SessionConfig(
         n_pulses=args.pulses,
         mu=args.mu,
@@ -278,13 +277,6 @@ def _segment_keys(rng, n_segments: int, n_bits: int) -> np.ndarray:
 
 
 def _cmd_plan(args) -> int:
-    _check_positive("--mu", args.mu)
-    if args.delta_ec < 0:
-        raise ValidationError(f"--delta-ec must be >= 0, got {args.delta_ec}")
-    if args.key_length < 1:
-        raise UsageError("--key-length must be >= 1")
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.network == "-":
         text = sys.stdin.read()
     else:
@@ -327,49 +319,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default):
+    def add(name, help, flags, sweep=True, fmt="csv", **domains):
+        """A subcommand with flags from FLAGS; a domain given by dest replaces the row's."""
+        p = sub.add_parser(name, help=help)
+        checks = {}
+        for flag in flags:
+            domain, settings = FLAGS[flag]
+            action = p.add_argument(flag, **settings)
+            domain = domains.get(action.dest, domain)
+            action.help += f"; must be {domain[0]}"
+            checks[action.dest] = flag, domain
+        p.set_defaults(domains=checks)  # read back by _check_flags
+        if sweep:
+            p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=default)
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default=fmt)
+        return p
 
-    p = sub.add_parser("discriminate", help="node-level discrimination error vs intensity")
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
-    add_common(p, "csv")
-
-    p = sub.add_parser("keyrate", help="asymptotic secret key rate")
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--mu2", type=float, default=None, help="second-link intensity")
-    p.add_argument("--distance-km", type=float, default=None,
-                   help="total fiber length, split evenly over the four arms")
-    p.add_argument("--arm-km", type=float, nargs=4, default=None,
-                   metavar=("L_A", "L_B", "L_B2", "L_C"))
-    p.add_argument("--delta-ec", type=float, default=0.0,
-                   help="error-correction leakage per conclusive round (bits)")
-    p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
-    add_common(p, "csv")
-
-    p = sub.add_parser("simulate", help="Monte Carlo session")
-    p.add_argument("--pulses", type=int, default=100000)
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--distance-km", type=float, default=None)
-    p.add_argument("--arm-km", type=float, nargs=4, default=None,
-                   metavar=("L_A", "L_B", "L_B2", "L_C"))
-    p.add_argument("--y0", type=float, default=2.45e-6)
-    p.add_argument("--dark", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p, "json")
-
-    p = sub.add_parser("plan", help="plan an N-party network and dry-run reconciliation")
-    p.add_argument("network", help="network JSON file, or - for stdin")
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--delta-ec", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--key-length", type=int, default=256)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
-
+    # discriminate takes the vacuum, mu = 0, which has an error probability but no key.
+    add("discriminate", "node-level discrimination error vs intensity", ["--mu"], mu=NON_NEGATIVE)
+    add("keyrate", "asymptotic secret key rate",
+        ["--mu", "--mu2", "--distance-km", "--arm-km", "--delta-ec"])
+    add("simulate", "Monte Carlo session",
+        ["--pulses", "--mu", "--distance-km", "--arm-km", "--y0", "--dark", "--seed"],
+        sweep=False, fmt="json")
+    plan = add("plan", "plan an N-party network and dry-run reconciliation",
+               ["--mu", "--delta-ec", "--seed", "--key-length"], sweep=False, fmt=None)
+    plan.add_argument("network", help="network JSON file, or - for stdin")
     sub.add_parser("selftest", help="run the built-in invariant suite")
 
     return parser
+
+
+def _check_flags(args) -> None:
+    """Hold each numeric flag, and a sweep's start, to its domain: exit 1 before any work.
+
+    A --sweep is parsed here, once, and args.sweep becomes its (variable, grid).
+    """
+    checks = getattr(args, "domains", {})  # selftest has no numeric flags
+    given = [(dest, getattr(args, dest)) for dest in checks]
+    if getattr(args, "sweep", None) is not None:
+        variable, grid = args.sweep = parse_sweep(args.sweep)
+        if variable not in checks:
+            raise UsageError(f"{args.command} cannot sweep {variable}")
+        given.append((variable, grid[0]))
+    for dest, value in given:
+        flag, (words, lo, hi) = checks[dest]
+        for x in value if isinstance(value, list) else [value]:
+            if x is not None and not lo <= x < hi:  # also refuses NaN
+                raise ValidationError(f"{flag} must be {words}, got {x}")
 
 
 @functools.cache
@@ -389,6 +388,7 @@ def dispatch(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 2
     try:
+        _check_flags(args)
         return globals()["_cmd_" + args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

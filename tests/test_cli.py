@@ -140,7 +140,14 @@ class TestKeyrateCommand:
         assert dispatch(["keyrate", "--distance-km", "nan"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: distance must be finite and >= 0, got nan\n"
+        assert captured.err == "error: --distance-km must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize("flags", [["--arm-km", "1", "2", "3", "400"], ["--distance-km", "77"]])
+    def test_distance_sweep_refuses_the_arm_flags(self, flags, capsys):
+        # A distance sweep sets every arm, so these flags used to be ignored.
+        assert dispatch(["keyrate", "--sweep", "distance_km:0:100:3", *flags]) == 2
+        assert capsys.readouterr() == (
+            "", "usage error: distance sweeps set every arm; drop --distance-km and --arm-km\n")
 
     def test_output_file_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -179,10 +186,12 @@ class TestDiscriminateCommand:
         (["--sweep", "mu:-1:1:3"], "-1.0"),
     ])
     def test_bad_intensity_reported_by_the_library(self, argv, bad, capsys):
+        # The flag check now refuses these before the library is called, and
+        # names the flag.
         assert dispatch(["discriminate", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: mean photon number must be finite and >= 0, got {bad}\n"
+        assert captured.err == f"error: --mu must be finite and >= 0, got {bad}\n"
 
 
 class TestSimulateCommand:
@@ -209,11 +218,13 @@ class TestSimulateCommand:
         capsys.readouterr()
 
     def test_negative_arm_is_a_usage_error_like_keyrate(self, capsys):
+        # Both commands refuse a negative arm alike: one line, exit 1, as for
+        # every numeric flag out of its domain.
         argv = ["--arm-km", "-1", "1", "1", "1"]
-        assert dispatch(["simulate", *argv]) == 2
+        assert dispatch(["simulate", *argv]) == 1
         err = capsys.readouterr().err
-        assert dispatch(["keyrate", *argv]) == 2
-        assert capsys.readouterr().err == err == "usage error: --arm-km lengths must be >= 0\n"
+        assert dispatch(["keyrate", *argv]) == 1
+        assert capsys.readouterr().err == err == "error: --arm-km must be finite and >= 0, got -1.0\n"
 
     def test_rate_is_zero_where_background_clicks_dominate(self, capsys):
         args = ["simulate", "--pulses", "1000000", "--distance-km", "10000", "--seed", "1"]
@@ -336,7 +347,7 @@ class TestPlanCommand:
         assert dispatch(["plan", str(net), "--seed", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_edge_endpoints_print_as_listed_ids(self, capsys, monkeypatch):
         # true == 1 and 2.0 == 2: the edges name parties 1 and 2 by other types.
@@ -609,15 +620,13 @@ class TestOutOfRangeInputs:
         assert capsys.readouterr() == ("", "error: --mu must be finite and > 0, got 0.0\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, err", [
-        (["simulate"], "error: seed must be a non-negative integer, got -1\n"),
-        (["plan", "NET"], "error: --seed must be a non-negative integer, got -1\n"),
-    ], ids=["simulate", "plan"])
-    def test_negative_seed_names_the_value(self, argv, err, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [["simulate"], ["plan", "NET"]], ids=["simulate", "plan"])
+    def test_negative_seed_names_the_value(self, argv, tmp_path, capsys):
+        # Both commands name the flag alike; simulate used to say "seed".
         (tmp_path / "NET").write_text(FIG_SEVEN_JSON)
         argv = [str(tmp_path / a) if a == "NET" else a for a in argv]
         assert dispatch([*argv, "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 class TestHugeIntensityAtZeroKm:
@@ -632,6 +641,26 @@ class TestHugeIntensityAtZeroKm:
         assert dispatch(["simulate", "--mu", "1e308", "--pulses", "10"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]
         assert (result["chi"], result["skr_per_pulse"]) == (1.0, 0.0)
+
+
+class TestFlagTable:
+    def test_every_numeric_flag_has_one_row_and_every_row_a_flag(self):
+        """A numeric flag added without a row in cli.FLAGS would skip the domain check."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        used = set()
+        for name, parser in sub.choices.items():
+            checks = parser.get_default("domains") or {}
+            for action in parser._actions:
+                if action.type in (int, float):
+                    (flag,) = action.option_strings
+                    assert flag in cli.FLAGS, f"{name} {flag} has no row"
+                    assert checks[action.dest][0] == flag
+                    # --help states the domain the check holds the flag to.
+                    assert action.help.endswith(f"; must be {checks[action.dest][1][0]}")
+                    used.add(flag)
+            assert len(checks) == sum(a.type in (int, float) for a in parser._actions)
+        assert used == set(cli.FLAGS)
 
 
 class TestParserReuse:
@@ -729,7 +758,9 @@ class TestSweepParsing:
             parse_sweep("mu:0.1:1.0")
 
     @pytest.mark.parametrize("text", ["mu:0.1:inf:3", "distance_km:-inf:10:3",
-                                      "mu:nan:1.0:3", "distance_km:0:nan:3"])
+                                      "mu:nan:1.0:3", "distance_km:0:nan:3",
+                                      # finite ends whose span overflows
+                                      "mu:-1e308:1e308:3", "distance_km:-1.7e308:1.7e308:2"])
     def test_non_finite_end_point_is_a_usage_error(self, text, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

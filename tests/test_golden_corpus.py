@@ -155,6 +155,14 @@ def cases():
         ("keyrate-zero-mu", ["keyrate", "--mu", "0"], ""),
         ("keyrate-negative-mu2", ["keyrate", "--mu2", "-1"], ""),
         ("keyrate-negative-delta-ec", ["keyrate", "--delta-ec", "-0.1", "--out", "out.csv"], ""),
+        ("keyrate-nan-delta-ec", ["keyrate", "--delta-ec", "nan"], ""),
+        ("keyrate-negative-distance-sweep", ["keyrate", "--sweep", "distance_km:-1:10:3"], ""),
+        ("keyrate-zero-mu-sweep", ["keyrate", "--sweep", "mu:0:1:3"], ""),
+        ("keyrate-overflowing-sweep", ["keyrate", "--sweep", "mu:-1e308:1e308:3"], ""),
+        ("keyrate-distance-sweep-with-arms", ["keyrate", "--sweep", "distance_km:0:100:3",
+                                              "--arm-km", "1", "2", "3", "400"], ""),
+        ("keyrate-distance-sweep-with-distance", ["keyrate", "--sweep", "distance_km:0:100:3",
+                                                  "--distance-km", "77"], ""),
         ("keyrate-underflow", ["keyrate", "--distance-km", "1e6"], ""),
         ("keyrate-arm-and-distance", ["keyrate", "--distance-km", "10",
                                       "--arm-km", "1", "1", "1", "1"], ""),
@@ -178,9 +186,11 @@ def cases():
         ("simulate-negative-mu", ["simulate", "--mu", "-1"], ""),
         ("simulate-zero-pulses", ["simulate", "--pulses", "0"], ""),
         ("simulate-y0-one", ["simulate", "--y0", "1"], ""),
+        ("simulate-nan-y0", ["simulate", "--y0", "nan"], ""),
         ("simulate-negative-dark", ["simulate", "--dark", "-0.1"], ""),
         ("simulate-negative-seed", ["simulate", "--seed", "-1"], ""),
         ("simulate-negative-arm", ["simulate", "--arm-km", "0", "-1", "0", "0"], ""),
+        ("simulate-nan-arm", ["simulate", "--arm-km", "nan", "1", "1", "1"], ""),
         ("simulate-underflow", ["simulate", "--distance-km", "1e6"], ""),
         ("simulate-bad-int", ["simulate", "--pulses", "abc"], ""),
         ("selftest", ["selftest"], ""),
@@ -199,6 +209,7 @@ def cases():
         ("plan-out-unwritable", ["plan", "-", "--out", "no-such-dir/out.json"], seven),
         ("plan-zero-mu", ["plan", "-", "--mu", "0", "--out", "out.json"], seven),
         ("plan-negative-delta-ec", ["plan", "-", "--delta-ec", "-1"], seven),
+        ("plan-nan-delta-ec", ["plan", "-", "--delta-ec", "nan"], "not json"),
         ("plan-zero-key-length", ["plan", "-", "--key-length", "0"], seven),
         ("plan-negative-seed", ["plan", "-", "--seed", "-1"], seven),
         ("plan-missing-file", ["plan", "no-such-net.json"], ""),

@@ -1,15 +1,22 @@
 """Property tests: invariants that must hold for every input, not just sampled ones."""
 
+import argparse
+import contextlib
+import io
 import json
+import math
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from twinfield_qka import cli  # noqa: E402
 from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
@@ -140,3 +147,118 @@ def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
     }
     text = _plan_json(plan, reconciliation)
     assert text == json.dumps(plan_doc(plan, reconciliation), indent=2, sort_keys=True) + "\n"
+
+
+# --- the flag contract -------------------------------------------------------
+
+SUBCOMMANDS = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+#: (command, flag) -> (domain, type): each numeric flag of each subcommand,
+#: with the domain the table gives it there.
+FLAG_DOMAINS = {
+    (command, flag): (domain, cli.FLAGS[flag][1]["type"])
+    for command, parser in SUBCOMMANDS.items()
+    for flag, domain in (parser.get_default("domains") or {}).values()
+}
+
+#: (command, flag, sweep): each numeric flag, and each flag a --sweep can start.
+FLAG_CASES = [
+    (command, flag, sweep)
+    for command, flag in FLAG_DOMAINS
+    for sweep in (False, True)
+    if not sweep or (flag[2:].replace("-", "_") in cli.SWEEP_VARIABLES
+                     and any(a.dest == "sweep" for a in SUBCOMMANDS[command]._actions))
+]
+
+
+def takes_four(flag):
+    return cli.FLAGS[flag][1].get("nargs") == 4
+
+
+def flag_argv(command, flag, x, position, sweep):
+    """An argv that sets flag (its value at position, or a --sweep start) to x."""
+    argv = [command, *(["NET"] if command == "plan" else [])]
+    if sweep:
+        stop = x / 2 if x < -1 else 1.0  # above x, with a finite span
+        return [*argv, f"--sweep={flag[2:].replace('-', '_')}:{x!r}:{stop!r}:3"]
+    if not takes_four(flag):
+        return [*argv, f"{flag}={x!r}"]
+    values = ["1"] * 4  # argparse takes a value starting "-" here only as a plain decimal
+    values[position] = np.format_float_positional(x, trim="-") if math.isfinite(x) else repr(x)
+    return [*argv, flag, *values]
+
+
+def refused_edges(command, flag, sweep):
+    """NaN, +-inf, and the values just past and far past each finite bound of the domain."""
+    (_, lo, hi), kind = FLAG_DOMAINS[command, flag]
+    if kind is int:
+        return [lo - 1, lo - 10**30]
+    edges = [math.nextafter(lo, -math.inf), -1e300] + ([hi, 1e300] if hi < math.inf else [])
+    if sweep:  # a sweep refuses a non-finite end itself, as a usage error
+        return edges
+    return edges + [math.nan, math.inf] + ([] if takes_four(flag) else [-math.inf])
+
+
+def refused_cases(case):
+    """(command, flag, x, position, sweep) with x outside the flag's domain."""
+    command, flag, sweep = case
+    (_, lo, hi), kind = FLAG_DOMAINS[command, flag]
+    if kind is int:
+        drawn = st.integers(max_value=lo - 1)
+    else:
+        drawn = st.floats(max_value=math.nextafter(lo, -math.inf), allow_infinity=False)
+        if hi < math.inf:
+            drawn |= st.floats(min_value=hi, allow_infinity=False)
+    return st.tuples(st.just(command), st.just(flag),
+                     st.sampled_from(refused_edges(*case)) | drawn,
+                     st.integers(0, 3), st.just(sweep))
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(FLAG_CASES).flatmap(refused_cases))
+@with_examples((*case[:2], x, 1, case[2]) for case in FLAG_CASES for x in refused_edges(*case))
+@with_examples([("discriminate", "--mu", -0.5, 0, False), ("discriminate", "--mu", -1.0, 0, True),
+                ("simulate", "--arm-km", -1.0, 0, False), ("keyrate", "--arm-km", -1.0, 0, False)])
+def test_out_of_domain_flag_is_refused_before_any_work(case):
+    """One line naming the flag, exit 1, no output; plan does not read its document."""
+    command, flag, x, position, sweep = case
+    words = FLAG_DOMAINS[command, flag][0][0]
+    shown = x + 0.0 if sweep else x  # a sweep reports its grid's first point, where -0.0 is 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        net, out = Path(tmp, "net.json"), Path(tmp, "out")
+        net.write_text("not json")
+        argv = [str(net) if a == "NET" else a for a in flag_argv(*case)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert cli.dispatch([*argv, "--out", str(out)]) == 1
+        assert stdout.getvalue() == ""
+        assert stderr.getvalue() == f"error: {flag} must be {words}, got {shown}\n"
+        assert not out.exists()
+
+
+def accepted_cases(key):
+    """(command, flag, x, position) with x inside the flag's domain, its bounds often."""
+    (_, lo, hi), kind = FLAG_DOMAINS[key]
+    top = lo + 10**30 if kind is int else math.nextafter(hi, -math.inf)
+    drawn = st.integers(lo, top) if kind is int else st.floats(lo, top)
+    return st.tuples(*map(st.just, key), st.sampled_from([lo, top]) | drawn, st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(list(FLAG_DOMAINS)).flatmap(accepted_cases))
+@with_examples([("simulate", "--distance-km", 0.0, 0), ("keyrate", "--distance-km", 0.0, 0),
+                ("simulate", "--seed", 0, 0), ("plan", "--seed", 0, 0),
+                ("discriminate", "--mu", 0.0, 0), ("simulate", "--pulses", 1, 0),
+                ("plan", "--key-length", 1, 0), ("keyrate", "--delta-ec", 5.0, 0)])
+def test_in_domain_flag_passes_the_check(case):
+    args = cli._parser().parse_args(flag_argv(*case, sweep=False))
+    cli._check_flags(args)
