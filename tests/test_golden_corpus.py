@@ -29,6 +29,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import DEMO_MAP, FIG_SEVEN, prufer_edges
 from twinfield_qka import cli
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
@@ -68,14 +69,6 @@ def test_golden(entry, tmp_path, monkeypatch):
 
 # --- regeneration ------------------------------------------------------------
 
-FIG_SEVEN = {
-    "parties": [{"id": i} for i in range(1, 8)],
-    "edges": [{"a": a, "b": b, "km": km} for a, b, km in [
-        (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0), (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0)]],
-}
-DEMO_MAP = {"parties": [{"id": name, "x": x, "y": y} for name, x, y in [
-    ("amber", 0.0, 4.0), ("birch", 8.0, 0.0), ("cedar", 6.0, 9.0), ("dune", 21.0, 11.0),
-    ("elm", 34.0, 8.0), ("fern", 43.0, 15.0), ("grove", 41.0, 1.0)]]}
 ODD_IDS = {"parties": [
     {"id": 'quote"d', "x": 0.0, "y": 0.0}, {"id": "back\\slash", "x": 3.0, "y": 1.0},
     {"id": "nul\0", "x": 6.0, "y": -1.0}, {"id": "comma, [bracket]", "x": 9.0, "y": 2.0},
@@ -91,19 +84,6 @@ MIXED_TREE = {
 }
 
 
-def _prufer_tree(rng, n):
-    seq = rng.integers(0, n, n - 2)
-    degree = np.bincount(seq, minlength=n) + 1
-    edges = []
-    for v in seq:
-        leaf = int(np.flatnonzero(degree == 1)[0])
-        edges.append((leaf, int(v)))
-        degree[leaf] = 0
-        degree[v] -= 1
-    a, b = np.flatnonzero(degree == 1)
-    return edges + [(int(a), int(b))]
-
-
 def mixed_networks(seed=20240917, sizes=range(7, 42, 3)):
     """(name, document, flags): a random tree and a random point cloud per size.
 
@@ -115,7 +95,7 @@ def mixed_networks(seed=20240917, sizes=range(7, 42, 3)):
         kms = rng.uniform(5.0, 40.0, n - 1)
         tree = {"parties": [{"id": i} for i in range(n)],
                 "edges": [{"a": a, "b": b, "km": float(km)}
-                          for (a, b), km in zip(_prufer_tree(rng, n), kms)]}
+                          for (a, b), km in zip(prufer_edges(rng.integers(0, n, n - 2), n), kms)]}
         xy = rng.uniform(0.0, 1.0, (n, 2)) * 30.0 * math.sqrt(n) + rng.uniform(-500, 500, 2)
         cloud = {"parties": [{"id": i, "x": float(x), "y": float(y)}
                              for i, (x, y) in enumerate(xy)]}
@@ -143,6 +123,9 @@ def cases():
         ("discriminate-negative-mu", ["discriminate", "--mu", "-1"], ""),
         ("discriminate-nan-mu", ["discriminate", "--mu", "nan"], ""),
         ("discriminate-bad-float", ["discriminate", "--mu", "abc"], ""),
+        ("discriminate-mu-sweep-with-mu", ["discriminate", "--sweep", "mu:0.1:1:3",
+                                           "--mu", "0.5"], ""),
+        ("discriminate-minus-infinity-mu", ["discriminate", "--mu", "-Infinity"], ""),
         ("keyrate-default", ["keyrate"], ""),
         ("keyrate-json", ["keyrate", "--format", "json", "--distance-km", "100"], ""),
         ("keyrate-distance-sweep", ["keyrate", "--sweep", "distance_km:0:300:7"], ""),
@@ -156,6 +139,8 @@ def cases():
         ("keyrate-negative-mu2", ["keyrate", "--mu2", "-1"], ""),
         ("keyrate-negative-delta-ec", ["keyrate", "--delta-ec", "-0.1", "--out", "out.csv"], ""),
         ("keyrate-nan-delta-ec", ["keyrate", "--delta-ec", "nan"], ""),
+        ("keyrate-delta-ec-one", ["keyrate", "--delta-ec", "1"], ""),
+        ("keyrate-exponent-mu", ["keyrate", "--mu", "-1e3"], ""),
         ("keyrate-negative-distance-sweep", ["keyrate", "--sweep", "distance_km:-1:10:3"], ""),
         ("keyrate-zero-mu-sweep", ["keyrate", "--sweep", "mu:0:1:3"], ""),
         ("keyrate-overflowing-sweep", ["keyrate", "--sweep", "mu:-1e308:1e308:3"], ""),
@@ -167,6 +152,7 @@ def cases():
         ("keyrate-arm-and-distance", ["keyrate", "--distance-km", "10",
                                       "--arm-km", "1", "1", "1", "1"], ""),
         ("keyrate-mu-sweep-with-mu2", ["keyrate", "--sweep", "mu:0.1:1:5", "--mu2", "0.2"], ""),
+        ("keyrate-mu-sweep-with-mu", ["keyrate", "--sweep", "mu:0.1:1:3", "--mu", "0.5"], ""),
         ("keyrate-bad-sweep", ["keyrate", "--sweep", "distance_km:0:10"], ""),
         ("keyrate-bad-float", ["keyrate", "--mu", "abc"], ""),
         ("simulate-default", ["simulate"], ""),
@@ -191,6 +177,8 @@ def cases():
         ("simulate-negative-seed", ["simulate", "--seed", "-1"], ""),
         ("simulate-negative-arm", ["simulate", "--arm-km", "0", "-1", "0", "0"], ""),
         ("simulate-nan-arm", ["simulate", "--arm-km", "nan", "1", "1", "1"], ""),
+        ("simulate-minus-inf-arm", ["simulate", "--arm-km", "1", "-inf", "1", "1"], ""),
+        ("simulate-minus-nan-y0", ["simulate", "--y0", "-nan"], ""),
         ("simulate-underflow", ["simulate", "--distance-km", "1e6"], ""),
         ("simulate-bad-int", ["simulate", "--pulses", "abc"], ""),
         ("selftest", ["selftest"], ""),
@@ -210,6 +198,8 @@ def cases():
         ("plan-zero-mu", ["plan", "-", "--mu", "0", "--out", "out.json"], seven),
         ("plan-negative-delta-ec", ["plan", "-", "--delta-ec", "-1"], seven),
         ("plan-nan-delta-ec", ["plan", "-", "--delta-ec", "nan"], "not json"),
+        ("plan-delta-ec-one", ["plan", "-", "--delta-ec", "1"], "not json"),
+        ("plan-exponent-delta-ec", ["plan", "-", "--delta-ec", "-.5E-3"], "not json"),
         ("plan-zero-key-length", ["plan", "-", "--key-length", "0"], seven),
         ("plan-negative-seed", ["plan", "-", "--seed", "-1"], seven),
         ("plan-missing-file", ["plan", "no-such-net.json"], ""),

@@ -1,7 +1,6 @@
 """Unit tests for network planning and cross-segment reconciliation."""
 
 import ast
-import heapq
 import inspect
 import math
 import time
@@ -10,13 +9,22 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from oracles import (
+    FIG_SEVEN_EDGES,
+    ID_SLOTS,
+    Disconnected,
+    assert_valid_decomposition,
+    edge_entries,
+    kruskal_reference,
+    random_tree_edges,
+    walk_to_root,
+)
 from twinfield_qka import network
 from twinfield_qka.errors import PlanningError, UsageError, ValidationError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
     PartyGraph,
     Segment,
-    _id_key,
     _segment_adjacency_tree,
     derive_global_key,
     minimum_network,
@@ -27,91 +35,14 @@ from twinfield_qka.network import (
 )
 from twinfield_qka.simulation import SessionConfig, run_session
 
-FIG_SEVEN_EDGES = [
-    (1, 3, 10.0), (2, 3, 12.0), (3, 4, 11.0),
-    (4, 5, 9.0), (5, 6, 8.0), (5, 7, 10.0),
-]
-
 
 def located(triples):
     """Party entries with coordinates, from (id, x, y) triples."""
     return [{"id": p, "x": x, "y": y} for p, x, y in triples]
 
 
-def edge_entries(triples):
-    """Edge entries of a network document, from (a, b, km) triples."""
-    return [{"a": a, "b": b, "km": km} for a, b, km in triples]
-
-
 def caterpillar_graph():
     return PartyGraph.build([1, 2, 3, 4, 5, 6, 7], edge_entries(FIG_SEVEN_EDGES))
-
-
-def random_tree_edges(n, rng, low=5.0, high=25.0):
-    """Random labeled tree on vertices 0..n-1 with random edge lengths."""
-    if n == 2:
-        return [(0, 1, float(rng.uniform(low, high)))]
-    seq = rng.integers(0, n, size=n - 2)
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(v), float(rng.uniform(low, high))))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, int(v))
-    a, b = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((a, b, float(rng.uniform(low, high))))
-    return edges
-
-
-def assert_valid_decomposition(tree_edges, segments):
-    vertices = set()
-    tree_pairs = set()
-    for a, b, _ in tree_edges:
-        vertices.update((a, b))
-        tree_pairs.add(frozenset((a, b)))
-    n = len(vertices)
-
-    covered = set()
-    for seg in segments:
-        covered.update(seg.members)
-        if len(seg.members) == 3:
-            a, c, b = seg.members
-            assert seg.center == c
-            assert frozenset((a, c)) in tree_pairs
-            assert frozenset((c, b)) in tree_pairs
-        else:
-            assert len(seg.members) == 2
-            assert frozenset(seg.members) in tree_pairs
-    assert covered == vertices, "every party must be in at least one segment"
-
-    triples = sum(1 for s in segments if len(s.members) == 3)
-    pairs = len(segments) - triples
-    if n % 2:
-        assert pairs == 0
-        assert 2 * len(segments) + 1 == n
-    else:
-        assert pairs == 1
-        assert triples == (n - 2) // 2
-
-    sets = [set(s.members) for s in segments]
-    for i, j in combinations(range(len(sets)), 2):
-        assert len(sets[i] & sets[j]) <= 1, "segments may share at most one party"
-    if len(sets) > 1:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(len(sets)):
-                if j not in seen and sets[i] & sets[j]:
-                    seen.add(j)
-                    frontier.append(j)
-        assert seen == set(range(len(sets))), "segment sharing graph must be connected"
 
 
 def assert_edge_partition(tree_edges, segments):
@@ -143,24 +74,6 @@ def all_pairs_adjacency_tree(plan):
                 parent[j] = i
                 order.append(j)
     return parent, order
-
-
-def walk_to_root(announcements, segment_index, segment_key):
-    """Oracle: the group key as one segment recovers it, walking up to segment 0.
-
-    derive_global_key recovers every segment's key in one pass down the
-    announcements instead.
-    """
-    parent = {child: (par, bits) for par, child, bits in announcements}
-    key = np.asarray(segment_key, dtype=np.uint8)
-    if announcements:
-        key = key[: len(announcements[0][2])]
-    seg = segment_index
-    while seg != 0:
-        par, bits = parent[seg]
-        key = key ^ bits
-        seg = par
-    return key
 
 
 def test_network_imports_nothing_from_simulation_or_cli():
@@ -262,49 +175,6 @@ class TestPartyGraph:
         assert g.edges == ((1, 2, 7.5),)
 
 
-def kruskal_reference(graph):
-    """The Kruskal that sorted with _id_key per comparison: the oracle for minimum_network."""
-    edges = []
-    for a, b, km in graph.edges:
-        lo, hi = sorted((a, b), key=_id_key)
-        edges.append((km, lo, hi))
-    edges.sort(key=lambda e: (e[0], _id_key(e[1]), _id_key(e[2])))
-
-    parent = {p: p for p in graph.parties}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for km, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b, km))
-    if len(tree) != len(graph.parties) - 1:
-        comps = {}
-        for p in graph.parties:
-            comps.setdefault(find(p), []).append(p)
-        groups = sorted(
-            (sorted(c, key=_id_key) for c in comps.values()),
-            key=lambda c: _id_key(c[0]),
-        )
-        raise PlanningError(f"graph is disconnected; components: {groups}")
-    return tree
-
-
-#: Party slots: the id a party takes, and the equal values an edge may name it
-#: by.  True == 1 == 1.0 but True sorts as a string; 2**53 and 2**53 + 1 share
-#: the float key 2**53; None and "None" share a string key.
-ID_SLOTS = [
-    [1, True, 1.0], [0, False, 0.0], [2**53], [2**53 + 1], [-3], [7.5],
-    ["a"], ["b"], ["7.5"], ["True"], ["None"], [None], [12], ["12"],
-]
-
-
 def random_mixed_graph(rng):
     slots = [ID_SLOTS[i] for i in rng.choice(len(ID_SLOTS), int(rng.integers(2, 12)), replace=False)]
     parties = [slot[int(rng.integers(len(slot)))] for slot in slots]
@@ -336,7 +206,7 @@ class TestMinimumNetwork:
             g = random_mixed_graph(rng)
             try:
                 expected = kruskal_reference(g)
-            except PlanningError as exc:
+            except Disconnected as exc:
                 with pytest.raises(PlanningError) as got:
                     minimum_network(g)
                 assert str(got.value) == str(exc)

@@ -16,12 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from oracles import ID_SLOTS, edge_entries  # noqa: E402
 from twinfield_qka import cli  # noqa: E402
 from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
 from twinfield_qka.simulation import _block_events, _block_rng  # noqa: E402
-from test_network import ID_SLOTS, edge_entries  # noqa: E402
 
 #: Probabilities in [0, 1], with the edges that break naive samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -167,7 +167,7 @@ FLAG_CASES = [
     (command, flag, sweep)
     for command, flag in FLAG_DOMAINS
     for sweep in (False, True)
-    if not sweep or (flag[2:].replace("-", "_") in cli.SWEEP_VARIABLES
+    if not sweep or (flag[2:].replace("-", "_") in cli.SWEEPS
                      and any(a.dest == "sweep" for a in SUBCOMMANDS[command]._actions))
 ]
 
@@ -183,9 +183,9 @@ def flag_argv(command, flag, x, position, sweep):
         stop = x / 2 if x < -1 else 1.0  # above x, with a finite span
         return [*argv, f"--sweep={flag[2:].replace('-', '_')}:{x!r}:{stop!r}:3"]
     if not takes_four(flag):
-        return [*argv, f"{flag}={x!r}"]
-    values = ["1"] * 4  # argparse takes a value starting "-" here only as a plain decimal
-    values[position] = np.format_float_positional(x, trim="-") if math.isfinite(x) else repr(x)
+        return [*argv, flag, repr(x)]
+    values = ["1"] * 4
+    values[position] = repr(x)
     return [*argv, flag, *values]
 
 
@@ -197,7 +197,7 @@ def refused_edges(command, flag, sweep):
     edges = [math.nextafter(lo, -math.inf), -1e300] + ([hi, 1e300] if hi < math.inf else [])
     if sweep:  # a sweep refuses a non-finite end itself, as a usage error
         return edges
-    return edges + [math.nan, math.inf] + ([] if takes_four(flag) else [-math.inf])
+    return edges + [math.nan, math.inf, -math.inf]
 
 
 def refused_cases(case):
@@ -258,7 +258,7 @@ def accepted_cases(key):
 @with_examples([("simulate", "--distance-km", 0.0, 0), ("keyrate", "--distance-km", 0.0, 0),
                 ("simulate", "--seed", 0, 0), ("plan", "--seed", 0, 0),
                 ("discriminate", "--mu", 0.0, 0), ("simulate", "--pulses", 1, 0),
-                ("plan", "--key-length", 1, 0), ("keyrate", "--delta-ec", 5.0, 0)])
+                ("plan", "--key-length", 1, 0)])
 def test_in_domain_flag_passes_the_check(case):
     args = cli._parser().parse_args(flag_argv(*case, sweep=False))
     cli._check_flags(args)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import node_laws
 from twinfield_qka import simulation
 from twinfield_qka.errors import ValidationError
 from twinfield_qka.keyrate import (
@@ -47,19 +48,6 @@ def noiseless(n_pulses, mu=0.2, total_km=0.0, seed=0):
 
 #: One-sided tail of 5 standard deviations of a normal distribution.
 TAIL_5_SIGMA = 0.5 * math.erfc(5.0 / math.sqrt(2.0))
-
-
-def node_laws(config):
-    """Per node (AB, BC): arrival intensity, P(conclusive), P(error | conclusive)."""
-    t_a, t_b, t_bp, t_c = (transmittance_from_distance(l) for l in config.arm_lengths)
-    p_bg = background_click_probability(config.y0, config.dark_count_prob)
-    laws = []
-    for m in (min(config.mu * t_a, config.mu * t_b),
-              min(config.mu * t_bp, config.mu * t_c)):
-        p_sig = 1.0 - (1.0 - p_bg) * math.exp(-2.0 * m)
-        p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
-        laws.append((m, p_conc, p_bg * (1.0 - p_sig) / p_conc))
-    return laws
 
 
 def announce_block(k_end, kb, p_signal, p_bg, u_plus, u_minus):
@@ -417,6 +405,24 @@ class TestPerPulseOracle:
                                          (res.qber_ab, res.qber_bc)):
             k = res.conclusive_counts[node]
             assert abs(qber - q) < 5 * math.sqrt(q * (1 - q) / k), node
+
+    def test_long_haul_session_follows_the_node_law(self):
+        # 600 km at the default background: about 4e4 events per node, q about 0.0085.
+        n = 10**8
+        config = SessionConfig(n_pulses=n, arm_lengths=(600.0 / 4,) * 4, seed=600)
+        res = run_session(config)
+        (_, p, q), _ = node_laws(config)  # equal arms: both nodes follow one law
+        dp, dq = 5 * math.sqrt(p * (1 - p) / n), 5 * math.sqrt(q * (1 - q) / (n * p))
+        for node, qber in (("AB", res.qber_ab), ("BC", res.qber_bc)):
+            assert abs(res.conclusive_counts[node] / n - p) < dp, node
+            assert abs(qber - q) < dq, node
+        # The rate p (1 - chi - h(q)) grows with p and falls with q: its band is
+        # the rates at the corners of the two counts' 5-sigma bands.
+        chi = link_rate(config.mu, transmittance_from_distance(300.0))[1]
+        low = (p - dp) * (1 - chi - binary_entropy(q + dq))
+        high = (p + dp) * (1 - chi - binary_entropy(q - dq))
+        assert 0.0 < low < p * (1 - chi - binary_entropy(q)) < high
+        assert low < res.skr_per_pulse < high
 
 
 class TestEventSampling:
