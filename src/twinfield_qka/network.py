@@ -17,11 +17,20 @@ single edge when N is even.  Such a pairing always exists (Kotzig 1957: a
 connected graph with an even number of edges splits into paths of length
 two), and a leaf-up walk that pairs the open child edges at each party and
 hands any odd one to the parent edge finds one.  The walk is a loop, not a
-recursion, and costs O(N log N) for sorting neighbours by id.
+recursion, and costs O(N log N) for sorting neighbours.
 
 The tree itself comes from Kruskal over the edges sorted by length, which
 stops as soon as it holds N-1 edges: on a complete coordinate graph that is
 about a quarter of the N(N-1)/2 candidates.
+
+Party ids are arbitrary JSON scalars, ordered once, in `PartyGraph.build`:
+numbers (not bools) by exact value, then everything else by `str()`, a string
+before a non-string of the same text (so 2**53 < 2**53 + 1 and "True" < true).
+`PartyGraph.parties` holds the ids in that order and `PartyGraph.edges` holds
+(i, j, km) with positions i < j in it.  Kruskal, the segmentation and the rates
+work on positions; `plan_network` maps them back to ids once.  Ties are broken
+by position, never by the order the document lists its parties or edges, so a
+plan does not depend on that order.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import combinations, starmap
-from operator import itemgetter
+from dataclasses import replace
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -40,18 +50,19 @@ from .keyrate import asymptotic_rate, transmittance_from_distance
 
 
 def _id_key(party):
-    """Deterministic sort key for party ids of mixed types."""
+    """The order of party ids, total over distinct ids: numbers (not bools) by exact value,
+    then the rest by str(), a string before a non-string of the same text."""
     if isinstance(party, (int, float)) and not isinstance(party, bool):
-        return (0, float(party), "")
-    return (1, 0.0, str(party))
+        return (0, party, False)  # an int and a float compare exactly
+    return (1, str(party), not isinstance(party, str))
 
 
 def _scalar_id(pid):
     """Return pid if it is a JSON scalar: a string, a finite number, a bool or None.
 
-    NaN is not even equal to itself, so no lookup or union-find could ever
-    match it, and _id_key sorts numbers as floats, which an int beyond the
-    float range cannot become.
+    NaN is not even equal to itself, so no lookup could ever match it, and
+    no number beyond the float range is an id either: infinities, and ints
+    that no float can hold.
     """
     if pid is not None and not isinstance(pid, (str, int, float)):  # bool is an int
         raise ValidationError(f"party id must be a string or a number, got {pid!r}")
@@ -96,10 +107,10 @@ class NetworkPlan:
 
 @dataclass(frozen=True)
 class PartyGraph:
-    """Party ids and the (a, b, km) edges between them."""
+    """Party ids in id order, and the edges between them as (i, j, km) with positions i < j."""
 
     parties: tuple
-    edges: tuple  # (a, b, km)
+    edges: tuple  # (i, j, km)
 
     @classmethod
     def build(cls, parties, edges=None) -> "PartyGraph":
@@ -108,8 +119,7 @@ class PartyGraph:
         Without explicit edges (None), every pair of parties is connected at its
         Euclidean distance, which requires coordinates for everyone.
         """
-        ids = []
-        listed = {}  # each id to itself, so an endpoint equal to it (True for 1) resolves to it
+        listed = {}  # each id to its position, so an endpoint equal to it (True for 1) resolves to it
         coords = {}
         for p in parties:
             entry = p if isinstance(p, dict) else {"id": p}
@@ -126,47 +136,51 @@ class PartyGraph:
                 coords[pid] = (float(x), float(y))
             if pid in listed:
                 raise ValidationError(f"duplicate party id {pid!r}")
-            listed[pid] = pid
-            ids.append(pid)
-        if len(ids) < 2:
+            listed[pid] = None
+        if len(listed) < 2:
             raise ValidationError("a network needs at least two parties")
         if edges is None:
-            missing = [p for p in ids if p not in coords]
+            missing = [p for p in listed if p not in coords]
             if missing:
                 raise ValidationError(
                     f"parties without coordinates need explicit edges: {missing}"
                 )
+        ids = tuple(sorted(listed, key=_id_key))
+        listed.update(zip(ids, range(len(ids))))
+        if edges is None:
             # Listed ids and float distances: only coincident parties (0 km)
             # and an overflow (inf km) can make an edge invalid.
             kms = list(starmap(math.dist, combinations([coords[p] for p in ids], 2)))
-            edges = [(a, b, km) for (a, b), km in zip(combinations(ids, 2), kms)]
+            edges = [(i, j, km) for (i, j), km in zip(combinations(range(len(ids)), 2), kms)]
             if kms and not (min(kms) > 0 and max(kms) < math.inf):
-                a, b, km = next(e for e in edges if not 0 < e[2] < math.inf)
+                i, j, km = next(e for e in edges if not 0 < e[2] < math.inf)
                 raise ValidationError(
-                    f"edge ({a!r}, {b!r}) must have a finite distance > 0, got {km!r}"
+                    f"edge ({ids[i]!r}, {ids[j]!r}) must have a finite distance > 0, got {km!r}"
                 )
-            return cls(parties=tuple(ids), edges=tuple(edges))
+            return cls(parties=ids, edges=tuple(edges))
         clean = []
         for edge in edges:
             if not isinstance(edge, dict) or not {"a", "b", "km"} <= edge.keys():
                 raise ValidationError(f'edge entry needs "a", "b" and "km": {edge!r}')
             a, b, km = edge["a"], edge["b"], edge["km"]
             try:
-                a, b = listed[a], listed[b]
+                i, j = listed[a], listed[b]
             except (KeyError, TypeError):  # TypeError: a list or an object
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party") from None
-            if a == b:
-                raise ValidationError(f"self-loop on party {a!r}")
+            if i == j:
+                raise ValidationError(f"self-loop on party {ids[i]!r}")
             if type(km) is not float and (
                 isinstance(km, bool) or not isinstance(km, numbers.Real)
             ):
-                raise ValidationError(f"edge ({a!r}, {b!r}) distance must be a number, got {km!r}")
+                raise ValidationError(
+                    f"edge ({ids[i]!r}, {ids[j]!r}) distance must be a number, got {km!r}"
+                )
             if not 0 < km < math.inf:  # also false for NaN
                 raise ValidationError(
-                    f"edge ({a!r}, {b!r}) must have a finite distance > 0, got {km!r}"
+                    f"edge ({ids[i]!r}, {ids[j]!r}) must have a finite distance > 0, got {km!r}"
                 )
-            clean.append((a, b, float(km)))
-        return cls(parties=tuple(ids), edges=tuple(clean))
+            clean.append((i, j, float(km)) if i < j else (j, i, float(km)))
+        return cls(parties=ids, edges=tuple(clean))
 
     @classmethod
     def from_json(cls, text: str) -> "PartyGraph":
@@ -186,23 +200,16 @@ class PartyGraph:
 
 
 def minimum_network(graph: PartyGraph) -> list:
-    """Minimum-total-length spanning tree edges, via Kruskal.
+    """Minimum-total-length spanning tree edges (i, j, km) over positions, via Kruskal.
 
-    Ties are broken by (distance, smaller id pair) so the result is
-    deterministic.  The scan stops once the tree has N-1 edges.  Raises
-    PlanningError listing the components when the graph is disconnected.
+    Edges are taken by (km, i, j), so the tree does not depend on the order
+    the edges are listed in.  The scan stops once the tree has N-1 edges.
+    Raises PlanningError listing the components when the graph is disconnected.
     """
-    key = {p: _id_key(p) for p in graph.parties}  # edge endpoints are listed ids
-    ranked = []
-    for a, b, km in graph.edges:
-        ka, kb = key[a], key[b]
-        if kb < ka:  # only a strictly smaller key swaps: equal keys keep (a, b)
-            ranked.append((km, kb, ka, b, a))
-        else:
-            ranked.append((km, ka, kb, a, b))
-    ranked.sort(key=itemgetter(0, 1, 2))  # stable: ties keep the edge order
+    ranked = sorted(graph.edges)  # by (i, j); the stable sort by km keeps that within a tie
+    ranked.sort(key=itemgetter(2))
 
-    parent = {p: p for p in graph.parties}
+    parent = list(range(len(graph.parties)))
 
     def find(x):
         while parent[x] != x:
@@ -212,22 +219,18 @@ def minimum_network(graph: PartyGraph) -> list:
 
     n_edges = len(graph.parties) - 1
     tree = []
-    for km, _, _, a, b in ranked:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b, km))
+    for edge in ranked:
+        ri, rj = find(edge[0]), find(edge[1])
+        if ri != rj:
+            parent[ri] = rj
+            tree.append(edge)
             if len(tree) == n_edges:
                 break
     if len(tree) != n_edges:
-        comps = {}
-        for p in graph.parties:
-            comps.setdefault(find(p), []).append(p)
-        groups = sorted(
-            (sorted(c, key=_id_key) for c in comps.values()),
-            key=lambda c: _id_key(c[0]),
-        )
-        raise PlanningError(f"graph is disconnected; components: {groups}")
+        comps = {}  # walked in position order: each component in id order, by its first id
+        for i, p in enumerate(graph.parties):
+            comps.setdefault(find(i), []).append(p)
+        raise PlanningError(f"graph is disconnected; components: {list(comps.values())}")
     return tree
 
 
@@ -241,8 +244,9 @@ def segment_tree(tree_edges) -> list:
     connected, and the counts are exact: (N-1)/2 triples for odd N, (N-2)/2
     triples plus one pair for even N.
 
-    The tree is rooted at the smallest id and walked leaf-up (reverse BFS
-    order, children in id order).  At each vertex the child edges still open
+    Vertex labels must sort with each other, as positions do.  The tree is
+    rooted at the smallest label and walked leaf-up (reverse BFS order,
+    children in label order).  At each vertex the child edges still open
     below it are paired into triples centred on it; an odd one out is paired
     with the vertex's own parent edge.  Only the root can be left with an
     unpaired edge, which happens exactly when N is even.  Segments are
@@ -251,19 +255,17 @@ def segment_tree(tree_edges) -> list:
     adj = {}  # each vertex to {neighbour: km}
     for a, b, km in tree_edges:
         adj.setdefault(a, {})[b] = adj.setdefault(b, {})[a] = float(km)
-    nodes = sorted(adj, key=_id_key)
-    n_nodes = len(nodes)
+    n_nodes = len(adj)
     if n_nodes < 2:
         raise PlanningError("need at least two parties to form a segment")
     if len(tree_edges) != n_nodes - 1:
         raise PlanningError(f"expected a tree, got {len(tree_edges)} edges over {n_nodes} vertices")
 
-    rank = {v: i for i, v in enumerate(nodes)}.__getitem__
-    root = nodes[0]
+    root = min(adj)
     parent = {root: None}
     order = [root]
     for v in order:  # BFS: the list grows while it is walked
-        for w in sorted(adj[v], key=rank):
+        for w in sorted(adj[v]):
             if w not in parent:
                 parent[w] = v
                 order.append(w)
@@ -273,24 +275,24 @@ def segment_tree(tree_edges) -> list:
         )
 
     def triple(a, c, b):
-        if rank(b) < rank(a):
+        if b < a:
             a, b = b, a
         return Segment(members=(a, c, b), center=c, arm_distances=(adj[a][c], adj[c][b]))
 
-    # BFS lists each vertex's children contiguously and in id order, so the
-    # reverse walk appends them to open_kids in reverse id order.
+    # BFS lists each vertex's children contiguously and in label order, so the
+    # reverse walk appends them to open_kids in reverse label order.
     open_kids = {v: [] for v in order}
     out = []
     for v in reversed(order):
         kids = open_kids.pop(v)[::-1]
         for i in range(0, len(kids) - 1, 2):
             out.append(triple(kids[i], v, kids[i + 1]))
-        up = parent[v]  # None for the root, and also for a child of the party None
+        up = parent[v]  # None for the root
         if len(kids) % 2:
             if v is not root:
                 out.append(triple(kids[-1], v, up))
             else:
-                a, b = v, kids[-1]  # the root has the smallest id
+                a, b = v, kids[-1]  # the root has the smallest label
                 # Centre on the first shared member, else on a.  A member is
                 # shared iff another tree edge, and so another segment, meets it.
                 center = b if len(adj[a]) == 1 < len(adj[b]) else a
@@ -317,7 +319,7 @@ def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) 
     for seg in segments:
         for p in seg.members:
             membership[p] = membership.get(p, 0) + 1
-    shared = tuple(sorted((p for p, k in membership.items() if k > 1), key=_id_key))
+    shared = tuple(sorted(p for p, k in membership.items() if k > 1))
     return NetworkPlan(
         tree_edges=tuple(tree_edges),
         segments=tuple(segments),
@@ -329,10 +331,22 @@ def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) 
 
 
 def plan_network(graph: PartyGraph, mu: float = 0.2, delta_ec: float = 0.0) -> NetworkPlan:
-    """Full pipeline: spanning tree, segmentation, per-segment rates."""
+    """Full pipeline: spanning tree, segmentation, per-segment rates, on positions.
+
+    The plan it returns names the parties by their ids.
+    """
     tree = minimum_network(graph)
-    segments = segment_tree(tree)
-    return plan_rates(segments, mu, delta_ec, tree_edges=tree)
+    plan = plan_rates(segment_tree(tree), mu, delta_ec, tree_edges=tree)
+    ids = graph.parties
+    return replace(
+        plan,
+        tree_edges=tuple((ids[i], ids[j], km) for i, j, km in tree),
+        segments=tuple(
+            replace(s, members=tuple(ids[i] for i in s.members), center=ids[s.center])
+            for s in plan.segments
+        ),
+        inter_announcers=tuple(ids[i] for i in plan.inter_announcers),
+    )
 
 
 # --- key reconciliation across segments -------------------------------------
@@ -409,6 +423,32 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     return keys[0], announcements
 
 
+def _announced_bits(announcements) -> np.ndarray:
+    """Every announcement's bits as one (announcements, bits) uint8 array.
+
+    Each row is read as _as_key_bits reads a key, and all rows are as long as
+    the first.  One check covers every row; only a failed one looks for the
+    announcement to name.
+    """
+    try:
+        block = np.array([bits for _, _, bits in announcements])
+        if block.ndim == 2:
+            return _as_key_bits(block.ravel()).reshape(block.shape)
+    except (ValueError, ValidationError):  # ValueError: rows of different shapes
+        pass
+    rows = []
+    for par, child, bits in announcements:
+        try:
+            row = _as_key_bits(bits)
+        except (ValueError, ValidationError):  # ValueError: sequences of different lengths
+            row = None
+        if row is None or len(row) != len(rows[0] if rows else row):
+            raise ValidationError(f"announcement ({par!r}, {child!r}) must carry as many bits "
+                                  "as the first, each 0 or 1")
+        rows.append(row)
+    return np.array(rows)
+
+
 def derive_global_key(announcements, segment_keys) -> np.ndarray:
     """The group key as each segment recovers it: row i is key i XOR its path to segment 0.
 
@@ -419,13 +459,23 @@ def derive_global_key(announcements, segment_keys) -> np.ndarray:
     n = len(announcements) + 1
     if len(keys) != n:
         raise ValidationError(f"got {len(keys)} keys for the {n} segments the announcements link")
-    n_bits = len(announcements[0][2]) if announcements else len(keys[0])
+    if announcements:
+        rows = _announced_bits(announcements)
+    else:
+        rows = np.zeros((0, len(keys[0])), dtype=np.uint8)
+    n_bits = rows.shape[1]
     for i, key in enumerate(keys):
         if len(key) < n_bits:
             raise ValidationError(f"segment {i}'s key has {len(key)} bits, announcements {n_bits}")
     paths = np.zeros((n, n_bits), dtype=np.uint8)  # XOR of the announcements up to segment 0
     linked = {0}
-    for par, child, bits in announcements:
+    for (par, child, _), bits in zip(announcements, rows):
+        try:
+            par, child = index(par), index(child)
+        except TypeError:
+            raise ValidationError(
+                f"announcement ({par!r}, {child!r}) must name its segments by int index"
+            ) from None
         if par not in linked or child in linked or not 0 < child < n:
             raise ValidationError(f"announcement ({par}, {child}) does not link a new segment")
         paths[child] = paths[par] ^ bits

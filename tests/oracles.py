@@ -9,6 +9,7 @@ checks that), so a fault in the program cannot hide inside its own check.
 import heapq
 import math
 import os
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -81,8 +82,9 @@ DEMO_MAP = {"parties": [{"id": name, "x": x, "y": y} for name, x, y in [
     ("elm", 34.0, 8.0), ("fern", 43.0, 15.0), ("grove", 41.0, 1.0)]]}
 
 #: Party slots: the id a party takes, and the equal values an edge may name it
-#: by.  True == 1 == 1.0 but True sorts as a string; 2**53 and 2**53 + 1 share
-#: the float key 2**53; None and "None" share a string key.
+#: by.  True == 1 == 1.0 but True sorts as a string; 2**53 and 2**53 + 1
+#: round to the same float; None and "None", and True and "True", print the
+#: same text.
 ID_SLOTS = [
     [1, True, 1.0], [0, False, 0.0], [2**53], [2**53 + 1], [-3], [7.5],
     ["a"], ["b"], ["7.5"], ["True"], ["None"], [None], [12], ["12"],
@@ -115,10 +117,15 @@ def random_tree_edges(n, rng, low=5.0, high=25.0):
 
 
 def id_key(party):
-    """The order of party ids: numbers (not bools) by value, then the rest by str()."""
+    """The order of party ids, total over distinct ids.
+
+    Numbers (not bools) come first, by their exact rational value; then the
+    rest by str(), and of a string and a non-string with the same text
+    ("None" and None, "True" and True) the string first.
+    """
     if isinstance(party, (int, float)) and not isinstance(party, bool):
-        return (0, float(party), "")
-    return (1, 0.0, str(party))
+        return (0, Fraction(party), 0)
+    return (1, str(party), 0 if isinstance(party, str) else 1)
 
 
 class Disconnected(Exception):
@@ -133,8 +140,8 @@ def kruskal_reference(graph):
     must give: the components, each sorted, sorted by their first id.
     """
     edges = []
-    for a, b, km in graph.edges:
-        lo, hi = sorted((a, b), key=id_key)
+    for i, j, km in graph.edges:  # positions in graph.parties
+        lo, hi = sorted((graph.parties[i], graph.parties[j]), key=id_key)
         edges.append((km, lo, hi))
     edges.sort(key=lambda e: (e[0], id_key(e[1]), id_key(e[2])))
 

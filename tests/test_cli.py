@@ -490,13 +490,11 @@ class TestOutOfRangeInputs:
         ["discriminate", "--mu", "1e300"],
         ["discriminate", "--sweep", "mu:0:1000:3"],
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
-        ["plan", "NET", "--seed", "-1"],
         ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
         ["plan", "DEEP_PARTIES"],
         ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0
         ["simulate", "--arm-km", "0", "0", "8100", "8100"],
         ["simulate", "--distance-km", "100000"],
-        ["simulate", "--seed", "-1"],
     ])
     def test_exit_one_and_no_output_file(self, argv, tmp_path, capsys):
         networks = {

@@ -3,8 +3,10 @@
 import ast
 import inspect
 import math
+import re
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     Disconnected,
     assert_valid_decomposition,
     edge_entries,
+    id_key,
     kruskal_reference,
     random_tree_edges,
     walk_to_root,
@@ -39,6 +42,12 @@ from twinfield_qka.simulation import SessionConfig, run_session
 def located(triples):
     """Party entries with coordinates, from (id, x, y) triples."""
     return [{"id": p, "x": x, "y": y} for p, x, y in triples]
+
+
+def tree_graph(edges):
+    """The graph of (a, b, km) tree edges, over the ids they name."""
+    return PartyGraph.build(list(dict.fromkeys(p for a, b, _ in edges for p in (a, b))),
+                            edge_entries(edges))
 
 
 def caterpillar_graph():
@@ -88,6 +97,28 @@ def test_network_imports_nothing_from_simulation_or_cli():
     assert not imported & {"simulation", "cli"}
 
 
+def test_ids_are_ordered_only_when_the_graph_is_built():
+    # Every stage after PartyGraph.build works on positions, so none re-keys the ids.
+    found = set()
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name == "_id_key":
+                    found.add((module, "def _id_key"))
+            elif (isinstance(child, ast.Name) and child.id == "_id_key"
+                  or isinstance(child, ast.Attribute) and child.attr == "_id_key"
+                  or isinstance(child, ast.alias) and "_id_key" in (child.name, child.asname)):
+                found.add((module, scope))
+            visit(child, inner, module)
+
+    for path in sorted(Path(network.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), "", path.name)
+    assert found == {("network.py", "def _id_key"), ("network.py", "PartyGraph.build")}
+
+
 class TestPartyGraph:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
@@ -102,13 +133,18 @@ class TestPartyGraph:
             PartyGraph.build([1, 2], edge_entries([(1, 2, 0.0)]))
 
     def test_euclidean_complete_graph(self):
-        g = PartyGraph.build(located([("a", 0, 0), ("b", 3, 4), ("c", 0, 8)]))
-        dists = {frozenset((a, b)): km for a, b, km in g.edges}
+        g = PartyGraph.build(located([("c", 0, 8), ("a", 0, 0), ("b", 3, 4)]))
+        assert g.parties == ("a", "b", "c")
+        dists = {frozenset((g.parties[i], g.parties[j])): km for i, j, km in g.edges}
         assert dists[frozenset(("a", "b"))] == pytest.approx(5.0)
         assert len(g.edges) == 3
         parties = [("a", 0.5, -2.0), (2, 3.0, 4.0), (None, -7.25, 1e3), (7.5, 0.0, 0.1)]
-        assert PartyGraph.build(located(parties)).edges == tuple(
-            (p, q, math.dist(pxy, qxy)) for (p, *pxy), (q, *qxy) in combinations(parties, 2)
+        ordered = sorted(parties, key=lambda entry: id_key(entry[0]))
+        g = PartyGraph.build(located(parties))
+        assert g.parties == tuple(p for p, *_ in ordered) == (2, 7.5, None, "a")
+        assert g.edges == tuple(
+            (i, j, math.dist(ordered[i][1:], ordered[j][1:]))
+            for i, j in combinations(range(len(ordered)), 2)
         )
 
     @pytest.mark.parametrize("km", ["x", True, None, float("nan"), float("inf")])
@@ -172,7 +208,8 @@ class TestPartyGraph:
          "edges": [{"a": 1, "b": 2, "km": 7.5}]}
         """
         g = PartyGraph.from_json(text)
-        assert g.edges == ((1, 2, 7.5),)
+        assert g.parties == (1, 2)
+        assert g.edges == ((0, 1, 7.5),)
 
 
 def random_mixed_graph(rng):
@@ -212,7 +249,7 @@ class TestMinimumNetwork:
                 assert str(got.value) == str(exc)
                 outcomes["disconnected"] += 1
                 continue
-            tree = minimum_network(g)
+            tree = [(g.parties[i], g.parties[j], km) for i, j, km in minimum_network(g)]
             # Element types too: True and 1 are equal, but print differently.
             assert [tuple(map(type, e)) for e in tree] == [tuple(map(type, e)) for e in expected]
             assert tree == expected
@@ -365,13 +402,13 @@ class TestSegmentTree:
     ])
     def test_none_id_is_a_party_like_any_other(self, edges):
         # A child of the party None was once taken for the root, whose parent is None.
-        assert_valid_decomposition(edges, segment_tree(edges))
+        plan = plan_network(tree_graph(edges))
+        assert_valid_decomposition(plan.tree_edges, plan.segments)
 
     def test_bool_and_string_ids_mix(self):
         # JSON ids may be booleans; they sort with the strings, not the numbers.
-        edges = [("a", True, 1.0), (True, "b", 2.0), ("b", 3, 1.5)]
-        segments = segment_tree(edges)
-        assert_valid_decomposition(edges, segments)
+        plan = plan_network(tree_graph([("a", True, 1.0), (True, "b", 2.0), ("b", 3, 1.5)]))
+        assert_valid_decomposition(plan.tree_edges, plan.segments)
 
     def test_random_trees_up_to_two_hundred(self):
         rng = np.random.default_rng(4242)
@@ -561,6 +598,24 @@ class TestReconcileNetwork:
     def test_announcements_must_link_each_segment_once(self, announcements):
         with pytest.raises(ValidationError, match="does not link a new segment"):
             derive_global_key(announcements, [[0]] * 3)
+
+    ROW = [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("announcements, named, problem", [
+        ([(0, 1, [2, 0, 1, 0]), (1, 2, ROW)], "(0, 1)", "as many bits"),
+        ([(0, 1, ROW), (1, 2, [0, 1, 1])], "(1, 2)", "as many bits"),
+        ([(0, 1, ROW), (1, 2, [0.5, 1.0, 1.0, 0.0])], "(1, 2)", "as many bits"),
+        ([(0, 1, ROW), (1, 2, [[0, 1], [1, 0]])], "(1, 2)", "as many bits"),
+        ([(0.0, 1, ROW), (1, 2, ROW)], "(0.0, 1)", "int index"),
+    ], ids=["bit-2", "short-row", "float-bits", "2-d-row", "float-index"])
+    def test_announcements_must_be_bits_between_int_indices(self, announcements, named, problem):
+        with pytest.raises(ValidationError, match=f"^announcement {re.escape(named)} must .*{problem}"):
+            derive_global_key(announcements, [self.ROW] * 3)
+
+    def test_bit_valued_announcements_accepted(self):
+        keys = [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]]
+        announcements = [(0, 1, [1.0, 0.0, 1.0, 0.0]), (1, np.int64(2), [True, True, False, True])]
+        np.testing.assert_array_equal(derive_global_key(announcements, keys), [keys[0]] * 3)
 
     def test_random_topology_round_trips(self):
         rng = np.random.default_rng(99)

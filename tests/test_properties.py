@@ -149,6 +149,51 @@ def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
     assert text == json.dumps(plan_doc(plan, reconciliation), indent=2, sort_keys=True) + "\n"
 
 
+@st.composite
+def relisted_networks(draw):
+    """A network document from ID_SLOTS with integer km, and the same network listed anew.
+
+    The new listing shuffles the parties and the edges and swaps the ends of
+    some edges.  Whole kilometres make ties common, and the slots hold ids
+    that an order by float value or by text alone cannot tell apart.
+    """
+    picks = draw(st.lists(st.integers(0, len(ID_SLOTS) - 1), min_size=2, max_size=10, unique=True))
+    slots = [ID_SLOTS[k] for k in picks]
+    n = len(slots)
+    ids = [draw(st.sampled_from(slot)) for slot in slots]
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]  # a spanning tree
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=2 * n))
+    edges = [{"a": draw(st.sampled_from(slots[i])), "b": draw(st.sampled_from(slots[j])),
+              "km": draw(st.integers(1, 3))} for i, j in pairs]
+    relisted = [dict(e, a=e["b"], b=e["a"]) if draw(st.booleans()) else e
+                for e in draw(st.permutations(edges))]
+    return ({"parties": ids, "edges": edges},
+            {"parties": draw(st.permutations(ids)), "edges": relisted})
+
+
+def plan_stdout(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        net = Path(tmp, "net.json")
+        net.write_text(json.dumps(doc))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.dispatch(["plan", str(net)]) == 0
+    return stdout.getvalue()
+
+
+TIED_IDS = {"parties": [2**53, 2**53 + 1, 5],
+            "edges": edge_entries([(2**53, 5, 1), (2**53 + 1, 5, 1), (2**53, 2**53 + 1, 1)])}
+
+
+@settings(max_examples=100, deadline=None)
+@given(docs=relisted_networks())
+@example(docs=(TIED_IDS, dict(TIED_IDS, edges=[TIED_IDS["edges"][i] for i in (1, 0, 2)])))
+def test_plan_does_not_depend_on_listing_order(docs):
+    doc, relisted = docs
+    assert plan_stdout(doc) == plan_stdout(relisted)
+
+
 # --- the flag contract -------------------------------------------------------
 
 SUBCOMMANDS = next(a for a in cli.build_parser()._actions

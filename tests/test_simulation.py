@@ -594,19 +594,3 @@ class CountingRng:
             return out
 
         return counted
-
-
-class TestThreePartyRoundTrip:
-    def test_all_parties_agree_in_loss_only_sessions(self):
-        for seed in range(8):
-            res = run_session(noiseless(20_000, total_km=60.0, seed=seed))
-            alice, bob_ab = res.sifted_ab
-            bob_bc, charlie = res.sifted_bc
-            n = min(len(bob_ab), len(bob_bc))
-            k_ab, k_bc = bob_ab[:n], bob_bc[:n]
-            ann = k_ab ^ k_bc
-            alice_view_bc = ann ^ alice[:n]
-            charlie_view_ab = ann ^ charlie[:n]
-            np.testing.assert_array_equal(alice_view_bc, k_bc)
-            np.testing.assert_array_equal(charlie_view_ab, k_ab)
-
