@@ -490,6 +490,7 @@ class TestOutOfRangeInputs:
         ["discriminate", "--mu", "1e300"],
         ["discriminate", "--sweep", "mu:0:1000:3"],
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
+        ["plan", "NET", "--seed", "-1"],
         ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
         ["plan", "DEEP_PARTIES"],
         ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0
