@@ -182,6 +182,69 @@ def _plan_json(plan, reconciliation: dict) -> str:
     )
 
 
+# --- session document --------------------------------------------------------
+
+#: The simulate document as json.dumps(indent=2, sort_keys=True) lays it out,
+#: with a field for each scalar in key order.
+_SESSION = """\
+{{
+  "config": {{
+    "arm_lengths_km": [
+      {},
+      {},
+      {},
+      {}
+    ],
+    "dark_count_prob": {},
+    "mu": {},
+    "n_pulses": {},
+    "seed": {},
+    "y0": {}
+  }},
+  "result": {{
+    "chi": {},
+    "conclusive_counts": {{
+      "AB": {},
+      "BC": {}
+    }},
+    "key_digests": {{
+      "alice_ab": {},
+      "bob_ab": {},
+      "bob_bc": {},
+      "charlie_bc": {}
+    }},
+    "key_lengths": {{
+      "ab": {},
+      "bc": {}
+    }},
+    "qber_ab": {},
+    "qber_bc": {},
+    "sifted_rate": {},
+    "skr_bps": {},
+    "skr_per_pulse": {}
+  }}
+}}
+"""
+
+
+def _session_json(config, summary: dict) -> str:
+    """The simulate document: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\\n".
+
+    doc is {"config": the config's fields, arm_lengths as arm_lengths_km,
+    "result": summary}.  As in _plan_json, the C encoder writes every scalar
+    in one call and only the layout is written in Python.
+    """
+    counts, digests, lengths = (summary["conclusive_counts"], summary["key_digests"],
+                                summary["key_lengths"])
+    return _SESSION.format(*_scalars([
+        *config.arm_lengths, config.dark_count_prob, config.mu, config.n_pulses, config.seed,
+        config.y0, summary["chi"], counts["AB"], counts["BC"], digests["alice_ab"],
+        digests["bob_ab"], digests["bob_bc"], digests["charlie_bc"], lengths["ab"], lengths["bc"],
+        summary["qber_ab"], summary["qber_bc"], summary["sifted_rate"], summary["skr_bps"],
+        summary["skr_per_pulse"],
+    ]))
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -257,13 +320,10 @@ def _cmd_simulate(args) -> int:
     summary = session_result_to_dict(result)
     if args.format == "csv":
         counts = summary["conclusive_counts"]
-        doc = [{"conclusive_ab": counts["AB"], "conclusive_bc": counts["BC"],
-                **{k: v for k, v in summary.items() if not isinstance(v, dict)}}]
+        _emit([{"conclusive_ab": counts["AB"], "conclusive_bc": counts["BC"],
+                **{k: v for k, v in summary.items() if not isinstance(v, dict)}}], args)
     else:
-        echo = dict(vars(config))  # the fields, without asdict's deep copy
-        echo["arm_lengths_km"] = echo.pop("arm_lengths")
-        doc = {"config": echo, "result": summary}
-    _emit(doc, args)
+        _write_text(_session_json(config, summary), args.out)
     print(format_session_result(result), file=sys.stderr)  # only once the output is written
     return 0
 
@@ -395,6 +455,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparsers() -> dict:
+    """Each subcommand's own parser, by name."""
+    return next(a for a in _parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """What _parser().parse_args(argv) returns, with the tokens parsed once.
+
+    When argv[0] names a subcommand, the top-level parser would hand every
+    later token to that subcommand's parser after reading them all itself;
+    here they go straight to it.  Any other argv takes the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _subparsers().get(argv[0]) if argv else None
+    if sub is None:
+        return _parser().parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        _parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def dispatch(argv=None) -> int:
     """Parse argv and run one subcommand; returns the process exit code.
 
@@ -402,7 +487,7 @@ def dispatch(argv=None) -> int:
     on each call, so a `_cmd_*` replaced after the first call is the one run.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else 2

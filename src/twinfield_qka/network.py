@@ -352,9 +352,15 @@ def plan_network(graph: PartyGraph, mu: float = 0.2, delta_ec: float = 0.0) -> N
 # --- key reconciliation across segments -------------------------------------
 
 
+_NOT_BITS = "key bits must be a 1-D sequence of 0s and 1s"
+
+
 def _as_key_bits(bits) -> np.ndarray:
     """bits as a 1-D uint8 array; other dtypes are compared, since a cast truncates 0.5."""
-    arr = np.asarray(bits)
+    try:
+        arr = np.asarray(bits)
+    except ValueError:  # sequences of different lengths
+        raise ValidationError(_NOT_BITS) from None
     if arr.dtype == np.uint8:
         valid = not arr.tobytes().translate(None, b"\0\1")  # what is left is not a bit
     else:
@@ -362,7 +368,7 @@ def _as_key_bits(bits) -> np.ndarray:
         valid = bool((ones | (arr == 0)).all())
         arr = ones.astype(np.uint8)
     if not valid or arr.ndim != 1:
-        raise ValidationError("key bits must be a 1-D sequence of 0s and 1s")
+        raise ValidationError(_NOT_BITS)
     return arr
 
 

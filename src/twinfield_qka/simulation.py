@@ -150,6 +150,12 @@ def _below(rng, first: np.ndarray, thresholds) -> list:
     return masks
 
 
+#: The number of set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: Per bit position k of a byte, the mask of the bits below it.
+_BELOW_BIT = np.array([(1 << k) - 1 for k in range(8)], dtype=np.uint8)
+
+
 def _block_events(rng, cnt: int, laws):
     """Per node law (P(conclusive), P(error | conclusive)): event marks, Bob's bits, errors.
 
@@ -181,8 +187,14 @@ def _block_events(rng, cnt: int, laws):
             for m in (np.count_nonzero(at_ab), np.count_nonzero(at_bc))]
     if len(shared):
         # The j-th shared event, at index s_j after A_j AB-only events, is
-        # bit j + A_j of the AB key and bit s_j - A_j of the BC key.
-        a_before = np.add.reduceat(ab_only_mask, np.r_[0, shared], dtype=np.int32)[:-1].cumsum()
+        # bit j + A_j of the AB key and bit s_j - A_j of the BC key.  A_j is
+        # the AB-only events in the whole bytes of the packed mask before s_j's
+        # byte, plus those in that byte's bits below s_j.
+        packed = np.packbits(ab_only_mask, bitorder="little")
+        before_byte = np.zeros(len(packed) + 1, dtype=np.int32)
+        np.cumsum(_POPCOUNT[packed], dtype=np.int32, out=before_byte[1:])
+        byte, bit = shared >> 3, shared & 7
+        a_before = before_byte[byte] + _POPCOUNT[packed[byte] & _BELOW_BIT[bit]]
         keys[1][shared - a_before] = keys[0][np.arange(len(shared)) + a_before]
     events = []
     for at, key, (_, q) in zip((at_ab, at_bc), keys, laws):
@@ -258,11 +270,20 @@ def run_session(config: SessionConfig) -> SessionResult:
 
 
 def _key_digest(bits: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(bits)).hexdigest()
+    """SHA-256 of the key's bits packed 8 to a byte, the first bit most significant.
+
+    The last byte is padded with zero bits, so the digest names the key only
+    together with its length.
+    """
+    return hashlib.sha256(np.packbits(bits)).hexdigest()
 
 
 def session_result_to_dict(result: SessionResult) -> dict:
-    """JSON-ready summary; key material is reported as length + SHA-256 digest."""
+    """JSON-ready summary: counts, error rates and rates, and each sifted key as a digest.
+
+    A key is reported by its length (key_lengths) and the SHA-256 of its
+    packed bits (`_key_digest`), never bit by bit.
+    """
     alice, bob_ab = result.sifted_ab
     bob_bc, charlie = result.sifted_bc
     return {

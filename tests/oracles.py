@@ -6,6 +6,7 @@ standard library and numpy, never twinfield_qka (tests/test_oracles.py
 checks that), so a fault in the program cannot hide inside its own check.
 """
 
+import hashlib
 import heapq
 import math
 import os
@@ -59,6 +60,18 @@ def node_laws(config):
         p_conc = p_sig * (1.0 - p_bg) + p_bg * (1.0 - p_sig)
         laws.append((m, p_conc, p_bg * (1.0 - p_sig) / p_conc))
     return laws
+
+
+def key_digest(bits):
+    """The SHA-256 hex digest a key is reported by.
+
+    The key's bits, first bit first, are read as one binary number, padded
+    with 0 bits on the right to whole bytes; the digest is over its bytes,
+    most significant first.
+    """
+    text = "".join("1" if b else "0" for b in bits)
+    text += "0" * (-len(text) % 8)
+    return hashlib.sha256(int(text or "0", 2).to_bytes(len(text) // 8, "big")).hexdigest()
 
 
 # --- networks ----------------------------------------------------------------

@@ -17,6 +17,7 @@ from oracles import (
     FIG_SEVEN,
     assert_valid_decomposition,
     child_env,
+    key_digest,
     random_tree_edges,
     walk_to_root,
 )
@@ -24,7 +25,7 @@ from twinfield_qka import cli, simulation
 from twinfield_qka.cli import _segment_keys, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
-from twinfield_qka.network import Segment, reconcile_network
+from twinfield_qka.network import PartyGraph, Segment, plan_network, reconcile_network
 
 #: Coordinate parties whose ids need escapes in JSON (a quote, a backslash,
 #: NUL, a comma, a bracket, non-ASCII), an int beyond 2**53, null and true.
@@ -268,7 +269,7 @@ class TestPlanCommand:
     # The corpus pins the seven-party network and the demo map with the same argv.
     @pytest.mark.parametrize("net, flags, digest", [
         (ODD_IDS_JSON, ["--key-length", "37"],
-         "162df82584263cf527c5f5f0b72098e3f119822e48f7b563ceb6e4e2896670bd"),
+         "b18cef5f4f527f634ad6dc74fe1509061a5b0b78975238264f80e09c327e1ca1"),
     ], ids=["odd-ids"])
     def test_output_pinned(self, net, flags, digest, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(net))
@@ -278,6 +279,16 @@ class TestPlanCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(net))
         assert dispatch(["plan", "-", "--seed", "3", *flags, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_global_key_digest_names_the_reconciled_key(self, capsys, monkeypatch):
+        text = json.dumps(FIG_SEVEN)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert dispatch(["plan", "-", "--seed", "3", "--key-length", "37"]) == 0
+        reported = json.loads(capsys.readouterr().out)["reconciliation"]["global_key_sha256"]
+        plan = plan_network(PartyGraph.from_json(text), mu=0.2)
+        keys = _segment_keys(np.random.default_rng(3), len(plan.segments), 37)
+        global_key, _ = reconcile_network(keys, plan)
+        assert len(global_key) == 37 and reported == key_digest(global_key)
 
     @pytest.mark.parametrize("n_bits", range(1, 41))
     def test_segment_keys_match_one_draw_per_segment(self, n_bits):
@@ -471,7 +482,7 @@ class TestOutputPinned:
         (["discriminate", "--sweep", "mu:0.01:1.5:150"],
          "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
         (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "19104055f1a776d271a64d66a0c4a6ff47a32e1120e79687505ff308853298ef"),
+         "5788588a6be8808696a9b36b283d3fcb8e5b23012c7465a9ab237882b92540ab"),
         (["simulate", "--format", "csv", "--pulses", "3000000", "--distance-km", "250",
           "--seed", "11"],
          "b36680b104dfecdc9be116a4b8e74e510aadf9cb9306e7ea6955be4823d47bcc"),
@@ -578,6 +589,22 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "_cmd_selftest", fake)
         assert dispatch(["selftest"]) == 7
         assert seen == ["selftest"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, code", [(["simulate", "--pulses", "10", "--seed", "1"], 0),
+                                            (["simulate", "--pulses", "10", "extra"], 2)])
+    def test_subcommand_argv_is_parsed_once(self, argv, code, monkeypatch, capsys):
+        # Its own parser reads the tokens; the top-level one only reports leftovers.
+        parsed = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, *args, **kwargs):
+            parsed.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert dispatch(argv) == code
+        assert parsed == ["twinfield-qka simulate"]
         capsys.readouterr()
 
     def test_format_and_out_do_not_carry_over(self, tmp_path, capsys):

@@ -510,7 +510,7 @@ class TestKeyBits:
 
     @pytest.mark.parametrize("key", [[0.5, 1, 0], [-1, 0, 1], [2**70, 0, 1], [2, 1, 0],
                                      [float("nan"), 1, 0], ["1", "0", "1"], [[0, 1], [1, 0]],
-                                     np.array([3, 1, 0], dtype=np.uint8)])
+                                     np.array([3, 1, 0], dtype=np.uint8), [[0], 1, 0]])
     @pytest.mark.parametrize("call", CALLS)
     def test_non_bits_rejected(self, call, key):
         with pytest.raises(ValidationError, match="key bits"):

@@ -2,12 +2,14 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import tempfile
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +18,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import ID_SLOTS, edge_entries  # noqa: E402
+from oracles import FIG_SEVEN, ID_SLOTS, edge_entries  # noqa: E402
 from twinfield_qka import cli  # noqa: E402
 from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
-from twinfield_qka.simulation import _block_events, _block_rng  # noqa: E402
+from twinfield_qka.simulation import (  # noqa: E402
+    SessionConfig,
+    _block_events,
+    _block_rng,
+    run_session,
+    session_result_to_dict,
+)
 
 #: Probabilities in [0, 1], with the edges that break naive samplers
 #: (subnormals, p so close to 1 that log1p(-p) is huge, and p == 1) drawn often.
@@ -147,6 +155,27 @@ def test_plan_writer_is_json_dumps(ids, coordinates, km_scale, seed):
     }
     text = _plan_json(plan, reconciliation)
     assert text == json.dumps(plan_doc(plan, reconciliation), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(pulses=st.integers(1, 4000) | st.sampled_from([1, 2, 3]),
+       mu=st.sampled_from([5e-324, 1e-300, 1e-12]) | st.floats(1e-6, 2.0),
+       arms=st.none() | st.lists(st.floats(0.0, 300.0), min_size=4, max_size=4),
+       seed=st.integers(0, 2**64))
+def test_session_writer_is_json_dumps(pulses, mu, arms, seed):
+    """A tiny mu leaves the keys empty and the error rates 0.0."""
+    argv = ["simulate", "--pulses", str(pulses), "--mu", repr(mu), "--seed", str(seed)]
+    if arms is not None:
+        argv += ["--arm-km", *map(repr, arms)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.dispatch(argv) == 0
+    config = SessionConfig(n_pulses=pulses, mu=mu, seed=seed,
+                           arm_lengths=(0.0,) * 4 if arms is None else arms)
+    echo = dataclasses.asdict(config)
+    echo["arm_lengths_km"] = echo.pop("arm_lengths")
+    doc = {"config": echo, "result": session_result_to_dict(run_session(config))}
+    assert stdout.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @st.composite
@@ -307,3 +336,66 @@ def accepted_cases(key):
 def test_in_domain_flag_passes_the_check(case):
     args = cli._parser().parse_args(flag_argv(*case, sweep=False))
     cli._check_flags(args)
+
+
+#: Flag values, good for some flags and bad for others; NET and OUT stand for
+#: a network file and an output path, the only path written.
+VALUES = ["1", "3", "0.5", "-1", "-1e3", "nan", "abc", "csv", "json",
+          "mu:0.1:1:3", "distance_km:0:10:3", "NET", "OUT"]
+#: Tokens no subcommand takes as given: unknown or abbreviated flags, an
+#: extra positional, the end of options, help.
+JUNK = ["--bogus", "--pul", "--mu2=0.3", "extra", "--", "-h", "-x", "NET", "OUT"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand or junk, then flags with as many values as they take or one fewer, and junk."""
+    command = draw(st.sampled_from([*SUBCOMMANDS] * 3 + [None, "bogus", "-h", "--help", "--pul",
+                                                         "--"]))
+    argv = [] if command is None else [command]
+    parser = SUBCOMMANDS.get(command)
+    if command == "plan" and draw(st.integers(0, 3)):
+        argv.append("NET")
+    flags = [f for a in parser._actions if a.dest != "help" for f in a.option_strings] \
+        if parser else []
+    for _ in range(draw(st.integers(0, 4))):
+        if flags and draw(st.integers(0, 5)):
+            flag = draw(st.sampled_from(flags))
+            action = parser._option_string_actions[flag]
+            takes = 1 if action.nargs is None else action.nargs
+            given = takes - 1 if draw(st.integers(0, 5)) == 5 else takes
+            good = {"--format": "json", "--sweep": "mu:0.1:1:3"}.get(
+                flag, "3" if action.type is int else "0.5")
+            values = st.just("OUT") if flag == "--out" else st.just(good) | st.sampled_from(VALUES)
+            argv += [flag, *draw(st.lists(values, min_size=given, max_size=given))]
+        else:
+            argv.append(draw(st.sampled_from(JUNK)))
+    return argv
+
+
+def run_with(argv, net, out):
+    """Exit code, stdout, stderr and the --out file's text of one dispatch."""
+    argv = [str(net) if a == "NET" else str(out) if a == "OUT" else a for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.dispatch(argv)
+    written = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines())
+@example(argv=["simulate", "--pulses", "3", "--", "--seed", "1"])
+@example(argv=["plan", "NET", "extra", "--pul"])
+@example(argv=["keyrate", "--mu"])
+@example(argv=[])
+def test_parse_is_argparse(argv):
+    """dispatch parses as the top-level parser's parse_args does, to the byte of every output."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net, out = Path(tmp, "net.json"), Path(tmp, "out")
+        net.write_text(json.dumps(FIG_SEVEN))
+        got = run_with(argv, net, out)
+        with mock.patch.object(cli, "_parse_args",
+                               lambda argv: cli.build_parser().parse_args(argv)):
+            assert got == run_with(argv, net, out)

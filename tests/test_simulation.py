@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import node_laws
+from oracles import key_digest, node_laws
 from twinfield_qka import simulation
 from twinfield_qka.errors import ValidationError
 from twinfield_qka.keyrate import (
@@ -26,6 +26,7 @@ from twinfield_qka.simulation import (
     _block_events,
     _block_rng,
     _digits,
+    _key_digest,
     _raw_bytes,
     background_click_probability,
     run_session,
@@ -198,6 +199,24 @@ class TestInterfereAndDetect:
     def test_double_click_is_inconclusive(self):
         # Both detectors firing (here via a huge background) never yields a bit.
         assert announce_one(0, 0, 0.5, (0.0, 0.0), y0=0.9) == 0
+
+
+class TestKeyDigest:
+    """A key is reported by the SHA-256 of its bits packed 8 to a byte, first bit highest."""
+
+    @pytest.mark.parametrize("n_bits", [*range(18), 256, 23_001])
+    def test_digest_packs_the_bits(self, n_bits):
+        bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+        assert _key_digest(bits) == key_digest(bits.tolist())
+
+    def test_session_digests_name_its_keys(self):
+        result = run_session(SessionConfig(n_pulses=20_000, arm_lengths=(5.0,) * 4, seed=3))
+        (alice, bob_ab), (bob_bc, charlie) = result.sifted_ab, result.sifted_bc
+        assert session_result_to_dict(result)["key_digests"] == {
+            "alice_ab": key_digest(alice), "bob_ab": key_digest(bob_ab),
+            "bob_bc": key_digest(bob_bc), "charlie_bc": key_digest(charlie),
+        }
+        assert len(alice) % 8 and len(bob_bc) % 8  # the last byte is padded
 
 
 class TestRunSession:
@@ -468,7 +487,8 @@ class TestEventSampling:
         assert rng.drawn < 1000
 
     def test_peak_memory_follows_the_events(self):
-        # A float64 or int64 array over the events would alone take 8 bytes of the 12.
+        # A float64 or int64 array over the events would alone take 8 bytes, over
+        # the 7 allowed; so would a 4-byte transient next to the block's own arrays.
         config = SessionConfig(n_pulses=BLOCK_SIZE, arm_lengths=(250.0 / 4,) * 4, seed=16)
         run_session(config)
         tracemalloc.start()
@@ -477,7 +497,7 @@ class TestEventSampling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * sum(res.conclusive_counts.values())
+        assert peak <= 7 * sum(res.conclusive_counts.values())
 
     def test_labels_follow_the_multinomial_law(self):
         # Each pulse is AB only, both, BC only or neither, independently.
