@@ -57,6 +57,14 @@ def _id_key(party):
     return (1, str(party), not isinstance(party, str))
 
 
+def _finite(v) -> bool:
+    """Whether the real number v is finite and within float range: an int no float holds is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _scalar_id(pid):
     """Return pid if it is a JSON scalar: a string, a finite number, a bool or None.
 
@@ -66,13 +74,8 @@ def _scalar_id(pid):
     """
     if pid is not None and not isinstance(pid, (str, int, float)):  # bool is an int
         raise ValidationError(f"party id must be a string or a number, got {pid!r}")
-    if isinstance(pid, (int, float)):
-        try:
-            finite = math.isfinite(pid)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValidationError(f"party id must be finite and within float range, got {pid!r}")
+    if isinstance(pid, (int, float)) and not _finite(pid):
+        raise ValidationError(f"party id must be finite and within float range, got {pid!r}")
     return pid
 
 
@@ -129,7 +132,7 @@ class PartyGraph:
             if "x" in entry and "y" in entry:
                 x, y = entry["x"], entry["y"]
                 for v in (x, y):
-                    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not _finite(v):
                         raise ValidationError(
                             f"party {pid!r} coordinates must be finite numbers, got ({x!r}, {y!r})"
                         )
@@ -175,7 +178,7 @@ class PartyGraph:
                 raise ValidationError(
                     f"edge ({ids[i]!r}, {ids[j]!r}) distance must be a number, got {km!r}"
                 )
-            if not 0 < km < math.inf:  # also false for NaN
+            if not (_finite(km) and km > 0):
                 raise ValidationError(
                     f"edge ({ids[i]!r}, {ids[j]!r}) must have a finite distance > 0, got {km!r}"
                 )
@@ -302,7 +305,7 @@ def segment_tree(tree_edges) -> list:
     return out
 
 
-def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) -> NetworkPlan:
+def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0) -> NetworkPlan:
     """Predict per-segment and network rates; the network runs at the min.
 
     The bottleneck distance is the longest link of the rate-limiting
@@ -321,7 +324,7 @@ def plan_rates(segments, mu: float = 0.2, delta_ec: float = 0.0, tree_edges=()) 
             membership[p] = membership.get(p, 0) + 1
     shared = tuple(sorted(p for p, k in membership.items() if k > 1))
     return NetworkPlan(
-        tree_edges=tuple(tree_edges),
+        tree_edges=(),  # plan_network names them
         segments=tuple(segments),
         inter_announcers=shared,
         bottleneck_distance=max(segments[worst].arm_distances),
@@ -336,7 +339,7 @@ def plan_network(graph: PartyGraph, mu: float = 0.2, delta_ec: float = 0.0) -> N
     The plan it returns names the parties by their ids.
     """
     tree = minimum_network(graph)
-    plan = plan_rates(segment_tree(tree), mu, delta_ec, tree_edges=tree)
+    plan = plan_rates(segment_tree(tree), mu, delta_ec)
     ids = graph.parties
     return replace(
         plan,
@@ -372,15 +375,8 @@ def _as_key_bits(bits) -> np.ndarray:
     return arr
 
 
-def _cut_to_shortest(keys) -> list:
-    """Each key as _as_key_bits reads it, all cut to the length of the shortest."""
-    keys = [_as_key_bits(k) for k in keys]
-    n_bits = min(map(len, keys), default=0)
-    return [k[:n_bits] for k in keys]
-
-
-def _segment_adjacency_tree(plan: NetworkPlan):
-    """BFS tree over segments (nodes) connected by shared parties.
+def _segment_links(plan: NetworkPlan) -> list:
+    """(parent, child) pairs of a BFS tree over segments linked by shared parties, in BFS order.
 
     Neighbours of a segment are visited in index order.  A party's segments
     are all reached the first time any of them is expanded, so each party's
@@ -390,20 +386,23 @@ def _segment_adjacency_tree(plan: NetworkPlan):
     for i, seg in enumerate(plan.segments):
         for p in seg.members:
             by_party.setdefault(p, []).append(i)
-    n = len(plan.segments)
-    parent = {0: None}
+    reached = [False] * len(plan.segments)
+    reached[0] = True
     order = [0]
+    links = []
     for i in order:  # BFS: the list grows while it is walked
         found = []
         for p in plan.segments[i].members:
             for j in by_party.pop(p, ()):
-                if j not in parent:
-                    parent[j] = i
+                if not reached[j]:
+                    reached[j] = True
                     found.append(j)
-        order.extend(sorted(found))
-    if len(order) != n:
+        found.sort()
+        order.extend(found)
+        links.extend((i, j) for j in found)
+    if len(order) != len(reached):
         raise PlanningError("segments do not chain into one connected group")
-    return parent, order
+    return links
 
 
 def reconcile_network(segment_keys, plan: NetworkPlan):
@@ -415,75 +414,50 @@ def reconcile_network(segment_keys, plan: NetworkPlan):
     where each announcement is (parent_index, child_index, xor_bits).  The
     group key is segment 0's truncated key; derive_global_key recovers it.
     """
-    keys = _cut_to_shortest(segment_keys)
+    keys = [_as_key_bits(k) for k in segment_keys]
     if not keys:
         raise UsageError("reconcile_network needs at least one segment key")
     if len(keys) != len(plan.segments):
         raise ValidationError(
             f"got {len(keys)} keys for {len(plan.segments)} segments"
         )
-    parent, order = _segment_adjacency_tree(plan)
-    announcements = [
-        (parent[j], j, keys[parent[j]] ^ keys[j]) for j in order if parent[j] is not None
-    ]
-    return keys[0], announcements
-
-
-def _announced_bits(announcements) -> np.ndarray:
-    """Every announcement's bits as one (announcements, bits) uint8 array.
-
-    Each row is read as _as_key_bits reads a key, and all rows are as long as
-    the first.  One check covers every row; only a failed one looks for the
-    announcement to name.
-    """
-    try:
-        block = np.array([bits for _, _, bits in announcements])
-        if block.ndim == 2:
-            return _as_key_bits(block.ravel()).reshape(block.shape)
-    except (ValueError, ValidationError):  # ValueError: rows of different shapes
-        pass
-    rows = []
-    for par, child, bits in announcements:
-        try:
-            row = _as_key_bits(bits)
-        except (ValueError, ValidationError):  # ValueError: sequences of different lengths
-            row = None
-        if row is None or len(row) != len(rows[0] if rows else row):
-            raise ValidationError(f"announcement ({par!r}, {child!r}) must carry as many bits "
-                                  "as the first, each 0 or 1")
-        rows.append(row)
-    return np.array(rows)
+    n_bits = min(map(len, keys))
+    keys = [k[:n_bits] for k in keys]
+    return keys[0], [(i, j, keys[i] ^ keys[j]) for i, j in _segment_links(plan)]
 
 
 def derive_global_key(announcements, segment_keys) -> np.ndarray:
     """The group key as each segment recovers it: row i is key i XOR its path to segment 0.
 
     Keys are cut to the announcements' length.  Every parent is announced
-    before its children, so one pass down the announcements builds each path.
+    before its children, so one pass down the announcements checks each one
+    and builds each path.
     """
     keys = [_as_key_bits(k) for k in segment_keys]
     n = len(announcements) + 1
     if len(keys) != n:
         raise ValidationError(f"got {len(keys)} keys for the {n} segments the announcements link")
-    if announcements:
-        rows = _announced_bits(announcements)
-    else:
-        rows = np.zeros((0, len(keys[0])), dtype=np.uint8)
-    n_bits = rows.shape[1]
-    for i, key in enumerate(keys):
-        if len(key) < n_bits:
-            raise ValidationError(f"segment {i}'s key has {len(key)} bits, announcements {n_bits}")
-    paths = np.zeros((n, n_bits), dtype=np.uint8)  # XOR of the announcements up to segment 0
-    linked = {0}
-    for (par, child, _), bits in zip(announcements, rows):
+    n_bits = len(keys[0])  # the first announcement's length, once there is one
+    paths = {0: 0}  # each linked segment to the XOR of the announcements up to segment 0
+    for k, (par, child, bits) in enumerate(announcements):
+        try:
+            bits = _as_key_bits(bits)
+        except ValidationError:
+            bits = None
+        if bits is None or k and len(bits) != n_bits:
+            raise ValidationError(f"announcement ({par!r}, {child!r}) must carry as many bits "
+                                  "as the first, each 0 or 1")
+        n_bits = len(bits)
         try:
             par, child = index(par), index(child)
         except TypeError:
             raise ValidationError(
                 f"announcement ({par!r}, {child!r}) must name its segments by int index"
             ) from None
-        if par not in linked or child in linked or not 0 < child < n:
+        if par not in paths or child in paths or not 0 < child < n:
             raise ValidationError(f"announcement ({par}, {child}) does not link a new segment")
         paths[child] = paths[par] ^ bits
-        linked.add(child)
-    return np.array([key[:n_bits] for key in keys]) ^ paths
+    for i, key in enumerate(keys):
+        if len(key) < n_bits:
+            raise ValidationError(f"segment {i}'s key has {len(key)} bits, announcements {n_bits}")
+    return np.array([key[:n_bits] ^ paths[i] for i, key in enumerate(keys)])

@@ -288,7 +288,7 @@ def test_criterion_9_protocol_round_trip():
     for i in range(100):
         n = int(rng.integers(2, 10))
         edges = random_tree_edges(n, rng)
-        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), mu=0.2)
         keys = [rng.integers(0, 2, 48, dtype=np.uint8) for _ in plan.segments]
         global_key, announcements = reconcile_network(keys, plan)
         recovered = derive_global_key(announcements, keys)

@@ -368,6 +368,7 @@ class TestPlanCommand:
             {"a": 1, "b": 2, "km": float("inf")},
             [1, 2, 5.0],
             {"a": [1], "b": 2, "km": 5.0},
+            {"a": 1, "b": 2, "km": 10**400},
         ],
     )
     def test_malformed_edge_is_a_clean_error(self, edge, capsys, monkeypatch):
@@ -389,6 +390,8 @@ class TestPlanCommand:
         {"id": 1, "x": 0, "y": float("-inf")},
         [[1], 0, 0],
         [1, 0],
+        {"id": 1, "x": 10**400, "y": 0},
+        {"id": 1, "x": 0, "y": -10**400},
     ])
     def test_malformed_party_is_a_clean_error(self, party, capsys, monkeypatch):
         net = {"parties": [party, {"id": 2, "x": 3, "y": 4}, {"id": 3, "x": 6, "y": 8}]}

@@ -28,7 +28,7 @@ from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import (
     PartyGraph,
     Segment,
-    _segment_adjacency_tree,
+    _segment_links,
     derive_global_key,
     minimum_network,
     plan_network,
@@ -151,6 +151,15 @@ class TestPartyGraph:
     def test_bad_distance_rejected(self, km):
         with pytest.raises(ValidationError):
             PartyGraph.build([1, 2], edge_entries([(1, 2, km)]))
+
+    def test_number_beyond_float_range_rejected(self):
+        # 10**400 is a valid JSON number that no float holds: float() and
+        # math.isfinite once let it out as an OverflowError.
+        with pytest.raises(ValidationError, match="must have a finite distance > 0"):
+            PartyGraph.build([1, 2], edge_entries([(1, 2, 10**400)]))
+        for x, y in [(10**400, 0), (0, -10**400)]:
+            with pytest.raises(ValidationError, match="coordinates must be finite numbers"):
+                PartyGraph.build(located([(1, x, y), (2, 3, 4), (3, 6, 8)]))
 
     def test_edge_arity_rejected(self):
         # An edge is the document's own entry: a tuple or a list is not one.
@@ -433,18 +442,18 @@ class TestPlanRates:
     def test_identical_segments_share_the_rate(self):
         edges = [(i, i + 1, 12.0) for i in range(1, 8)]  # path of 8 -> even N
         segments = segment_tree(edges)
-        plan = plan_rates(segments, mu=0.2, tree_edges=edges)
+        plan = plan_rates(segments, mu=0.2)
         assert plan.network_rate == min(plan.per_segment_rate)
 
     def test_uniform_path_rate_equals_single_segment(self):
         edges = [(i, i + 1, 15.0) for i in range(1, 7)]
-        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), mu=0.2)
         single = plan_rates(segment_tree([(1, 2, 15.0), (2, 3, 15.0)]), mu=0.2)
         assert plan.network_rate == pytest.approx(single.network_rate, abs=1e-15)
 
     def test_stretched_edge_becomes_bottleneck(self):
         edges = [(1, 2, 10.0), (2, 3, 10.0), (3, 4, 10.0), (4, 5, 60.0), (5, 6, 10.0), (6, 7, 10.0)]
-        plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), mu=0.2)
         assert plan.bottleneck_distance == 60.0
         worst = plan.per_segment_rate.index(plan.network_rate)
         assert 60.0 in plan.segments[worst].arm_distances
@@ -569,7 +578,7 @@ class TestReconcileNetwork:
 
     def test_three_chained_segments(self):
         edges = [(i, i + 1, 10.0) for i in range(1, 7)]
-        plan = plan_rates(segment_tree(edges), 0.2, tree_edges=edges)
+        plan = plan_rates(segment_tree(edges), 0.2)
         rng = np.random.default_rng(31)
         keys = [rng.integers(0, 2, 40, dtype=np.uint8) for _ in plan.segments]
         global_key, announcements = reconcile_network(keys, plan)
@@ -583,6 +592,14 @@ class TestReconcileNetwork:
         global_key, announcements = reconcile_network([s1, s2], plan)
         assert len(global_key) == 6
         np.testing.assert_array_equal(derive_global_key(announcements, [s1, s2]), [[1] * 6] * 2)
+
+    def test_zero_bit_keys_round_trip(self):
+        plan = plan_rates(segment_tree([(i, i + 1, 10.0) for i in range(1, 7)]), 0.2)
+        keys = [np.zeros(0, dtype=np.uint8)] * 3
+        global_key, announcements = reconcile_network(keys, plan)
+        assert global_key.shape == (0,) and len(announcements) == 2
+        recovered = derive_global_key(announcements, keys)
+        assert recovered.shape == (3, 0) and recovered.dtype == np.uint8
 
     def test_empty_key_set_rejected(self):
         plan = plan_rates(segment_tree([(1, 2, 5.0), (2, 3, 5.0)]), 0.2)
@@ -607,7 +624,10 @@ class TestReconcileNetwork:
         ([(0, 1, ROW), (1, 2, [0.5, 1.0, 1.0, 0.0])], "(1, 2)", "as many bits"),
         ([(0, 1, ROW), (1, 2, [[0, 1], [1, 0]])], "(1, 2)", "as many bits"),
         ([(0.0, 1, ROW), (1, 2, ROW)], "(0.0, 1)", "int index"),
-    ], ids=["bit-2", "short-row", "float-bits", "2-d-row", "float-index"])
+        ([(0, 1, 5), (1, 2, ROW)], "(0, 1)", "as many bits"),
+        ([(0, 1, ROW), (1, 2, None)], "(1, 2)", "as many bits"),
+    ], ids=["bit-2", "short-row", "float-bits", "2-d-row", "float-index", "scalar-row",
+            "none-row"])
     def test_announcements_must_be_bits_between_int_indices(self, announcements, named, problem):
         with pytest.raises(ValidationError, match=f"^announcement {re.escape(named)} must .*{problem}"):
             derive_global_key(announcements, [self.ROW] * 3)
@@ -624,7 +644,7 @@ class TestReconcileNetwork:
             n = int(rng.integers(2, 10))
             edges = random_tree_edges(n, rng)
             segments = segment_tree(edges)
-            plan = plan_rates(segments, mu=0.2, tree_edges=edges)
+            plan = plan_rates(segments, mu=0.2)
             keys = [rng.integers(0, 2, 32, dtype=np.uint8) for _ in segments]
             global_key, announcements = reconcile_network(keys, plan)
             recovered = derive_global_key(announcements, keys)
@@ -638,8 +658,9 @@ class TestReconcileNetwork:
         for _ in range(200):
             n = int(rng.integers(2, 80))
             edges = random_tree_edges(n, rng)
-            plan = plan_rates(segment_tree(edges), mu=0.2, tree_edges=edges)
-            assert _segment_adjacency_tree(plan) == all_pairs_adjacency_tree(plan)
+            plan = plan_rates(segment_tree(edges), mu=0.2)
+            parent, order = all_pairs_adjacency_tree(plan)
+            assert _segment_links(plan) == [(parent[j], j) for j in order[1:]]
 
 
 class TestPlanNetwork:

@@ -18,11 +18,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from oracles import FIG_SEVEN, ID_SLOTS, edge_entries  # noqa: E402
+from oracles import FIG_SEVEN, ID_SLOTS, edge_entries, prufer_edges, walk_to_root  # noqa: E402
 from twinfield_qka import cli  # noqa: E402
 from twinfield_qka.cli import _plan_json  # noqa: E402
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
-from twinfield_qka.network import PartyGraph, plan_network  # noqa: E402
+from twinfield_qka.network import (  # noqa: E402
+    PartyGraph,
+    derive_global_key,
+    plan_network,
+    plan_rates,
+    reconcile_network,
+    segment_tree,
+)
 from twinfield_qka.simulation import (  # noqa: E402
     SessionConfig,
     _block_events,
@@ -221,6 +228,40 @@ TIED_IDS = {"parties": [2**53, 2**53 + 1, 5],
 def test_plan_does_not_depend_on_listing_order(docs):
     doc, relisted = docs
     assert plan_stdout(doc) == plan_stdout(relisted)
+
+
+#: The forms a segment key may take, each read as the same bits.
+KEY_FORMS = (
+    lambda bits: np.array(bits, dtype=np.uint8),
+    lambda bits: np.array(bits, dtype=np.int64),
+    lambda bits: [bool(b) for b in bits],
+    lambda bits: [float(b) for b in bits],
+)
+
+
+@st.composite
+def keyed_plans(draw):
+    """The plan of a random 2-40 party tree, and one key per segment, each of its own length and form."""
+    n = draw(st.integers(2, 40))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    plan = plan_rates(segment_tree([(a, b, 10.0) for a, b in prufer_edges(seq, n)]), 0.2)
+    keys = [draw(st.sampled_from(KEY_FORMS))(draw(st.lists(st.integers(0, 1), max_size=48)))
+            for _ in plan.segments]
+    return plan, keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=keyed_plans())
+def test_reconciliation_round_trips_over_mixed_keys(case):
+    plan, keys = case
+    global_key, announcements = reconcile_network(keys, plan)
+    shortest = min(map(len, keys))
+    np.testing.assert_array_equal(global_key, np.asarray(keys[0][:shortest], dtype=np.uint8))
+    recovered = derive_global_key(announcements, keys)
+    assert recovered.shape == (len(keys), shortest)
+    for i, key in enumerate(keys):
+        np.testing.assert_array_equal(recovered[i], global_key)
+        np.testing.assert_array_equal(walk_to_root(announcements, i, key), global_key)
 
 
 # --- the flag contract -------------------------------------------------------
