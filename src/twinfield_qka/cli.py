@@ -365,11 +365,9 @@ def _cmd_plan(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = selfcheck.run_all()
-    ok = True
     for name, passed, detail in results:
-        ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    return 0 if ok else 1
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 # --- parser ------------------------------------------------------------------

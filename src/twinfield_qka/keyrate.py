@@ -15,8 +15,8 @@ fraction.  The end-to-end statistics only enter through the products
 xi^2 omega = exp(-2 mu) and xi^2 omega^2, which is what makes the closed
 forms below exact.
 
-Closed forms (verified against the explicit operator pipeline by the test
-suite, which treats the pipeline as the primary oracle):
+Closed forms (verified against the explicit operator pipeline by the
+`selfcheck` battery, which treats the pipeline as the primary oracle):
 
     p(conclusive)      = 1 - exp(-2 sqrt(eta) mu)
     chi                = h((1 - exp(-4 mu (1-sqrt(eta))) exp(-2 mu sqrt(eta)))/2)
@@ -29,7 +29,9 @@ closed-form rates, and h(qber) of the measured errors for a simulated
 session.  chi is the loss-only bound, not a security bound once errors
 appear.  A chain of links (a session, a segment, a network) runs at the
 min of its links' bits per pulse; on a tie the first link is reported.
-asymptotic_rate is the one place that rule is written.
+asymptotic_rate picks a segment's (or the `keyrate` command's) slowest link,
+network.plan_rates the network's slowest segment, and
+simulation.run_session the session's slower node, from its measured rates.
 """
 
 from __future__ import annotations

@@ -20,18 +20,6 @@ import numpy as np
 
 MU_GRID = np.linspace(0.01, 1.0, 20)
 ETA_GRID = np.logspace(-5, 0, 20)
-#: Alice's and Bob's phase signs: two equal pairs, then two opposite ones.
-SIGN_PAIRS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
-
-
-def qmin_pair_closed_hyperbolic(mu):
-    """The pair closed form (3 + e^{-4 mu}) / 8, rewritten with cosh and sinh."""
-    return 0.5 * (1.0 - math.exp(-2.0 * mu) * math.cosh(mu) * math.sinh(mu))
-
-
-def qmin_triple_closed_expanded(mu):
-    """The two-node closed form as printed: 1 - (1 - q_pair)^2, multiplied out."""
-    return (-math.exp(-8.0 * mu) + 10.0 * math.exp(-4.0 * mu) + 39.0) / 64.0
 
 
 def closed_triple(mu):

@@ -21,7 +21,7 @@ from oracles import (
     random_tree_edges,
     walk_to_root,
 )
-from twinfield_qka import cli, simulation
+from twinfield_qka import cli, discrimination, selfcheck, simulation
 from twinfield_qka.cli import _segment_keys, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
@@ -647,6 +647,15 @@ class TestSelftestCommand:
         assert dispatch(["selftest"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == ["PASS"] * 7
+
+    def test_a_failing_check_fails_the_run_and_every_line_prints(self, monkeypatch, capsys):
+        pair = discrimination.qmin_pair_closed
+        monkeypatch.setattr(discrimination, "qmin_pair_closed", lambda mu: pair(mu) + 1e-9)
+        name, _, detail = selfcheck.check_discrimination_identities()
+        assert dispatch(["selftest"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"FAIL  {name}: {detail}"
+        assert [line.split()[0] for line in lines[1:]] == ["PASS"] * 6
 
 
 class TestDispatchErrors:
