@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from . import selfcheck
 from .discrimination import compose_error, discriminate
-from .errors import UsageError, ValidationError
+from .errors import (BELOW_ONE, COUNT, NON_NEGATIVE, POSITIVE, SEED, UsageError, ValidationError,
+                     check)
 from .keyrate import asymptotic_rate, transmittance_from_distance
 from .network import PartyGraph, derive_global_key, plan_network, reconcile_network
 from .simulation import (
@@ -39,12 +39,6 @@ SWEEPS = {"distance_km": ("distance_km", "arm_km"), "mu": ("mu", "mu2")}
 #: -\d+ or -\d*.\d+; with this one, -1e3 and -inf reach the domain check too.
 _FLOAT_LITERAL = re.compile(r"-(\.?\d|inf(inity)?$|nan$)", re.IGNORECASE)
 
-#: A domain (words, lo, hi) holds the values lo <= x < hi.
-POSITIVE = "finite and > 0", math.ulp(0.0), math.inf  # lo is the least float above 0
-NON_NEGATIVE = "finite and >= 0", 0.0, math.inf
-BELOW_ONE = "in [0, 1)", 0.0, 1.0
-COUNT = ">= 1", 1, math.inf
-
 #: Every numeric flag, once: its domain and argparse settings.  build_parser adds
 #: each subcommand's flags from here, and _check_flags holds the values to them.
 FLAGS = {
@@ -59,7 +53,7 @@ FLAGS = {
     "--pulses": (COUNT, dict(type=int, default=100000, help="pulses sent")),
     "--y0": (BELOW_ONE, dict(type=float, default=2.45e-6, help="background yield per gate")),
     "--dark": (BELOW_ONE, dict(type=float, default=1e-6, help="dark-count probability")),
-    "--seed": ((">= 0", 0, math.inf), dict(type=int, default=0, help="random seed")),
+    "--seed": (SEED, dict(type=int, default=0, help="random seed")),
     "--key-length": (COUNT, dict(type=int, default=256, help="bits per segment key")),
 }
 
@@ -364,6 +358,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selfcheck  # only this subcommand runs the battery
+
     results = selfcheck.run_all()
     for name, passed, detail in results:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
@@ -439,10 +435,9 @@ def _check_flags(args) -> None:
                              f"drop {' and '.join(clash)}")
         given.append((variable, grid[0]))
     for dest, value in given:
-        flag, (words, lo, hi) = checks[dest]
+        flag, domain = checks[dest]
         for x in value if isinstance(value, list) else [value]:
-            if not lo <= x < hi:  # also refuses NaN
-                raise ValidationError(f"{flag} must be {words}, got {x}")
+            check(flag, x, domain)
     for dest, default in getattr(args, "defaults", {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)

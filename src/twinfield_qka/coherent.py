@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NON_NEGATIVE, ValidationError, check
 from .linalg import outer
 
 
@@ -35,9 +35,8 @@ def sign_value(s) -> int:
 
 
 def basis_coeffs(mu: float) -> tuple:
-    """Even/odd branch amplitudes (c0, c1) of |sqrt(mu)>, with c0^2 + c1^2 = 1."""
-    if not 0.0 <= mu < math.inf:  # also false for NaN
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
+    """Even/odd branch amplitudes (c0, c1) of |sqrt(mu)>, c0^2 + c1^2 = 1; subnormal mu too."""
+    check("mean photon number", mu, NON_NEGATIVE)
     try:
         cosh, sinh = math.cosh(mu), math.sinh(mu)
     except OverflowError:  # mu above ~710

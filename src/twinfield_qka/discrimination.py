@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .coherent import correlated_mixture
-from .errors import ValidationError
+from .errors import NON_NEGATIVE, PROBABILITY, check
 from .linalg import check_density, trace_norm
 
 
@@ -50,16 +50,14 @@ def helstrom_error(rho0, rho1) -> float:
 
 def qmin_pair_closed(mu: float) -> float:
     """Closed-form single-node error (3 + exp(-4 mu))/8."""
-    if not 0.0 <= mu < math.inf:  # also false for NaN
-        raise ValidationError(f"mean photon number must be finite and >= 0, got {mu!r}")
+    check("mean photon number", mu, NON_NEGATIVE)
     return (math.exp(-4.0 * mu) + 3.0) / 8.0
 
 
 def compose_error(q1: float, q2: float) -> float:
     """Probability that at least one of two independent nodes errs, 1 - (1-q1)(1-q2)."""
     for q in (q1, q2):
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError(f"error probability must lie in [0, 1], got {q!r}")
+        check("error probability", q, PROBABILITY)
     return 1.0 - (1.0 - q1) * (1.0 - q2)
 
 

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import SIGN_PAIRS, basis_coeffs, sign_value, signal_vector
-from .errors import ImpossibleBranchError, UsageError, ValidationError
+from .errors import (NON_NEGATIVE, POSITIVE, POVM_INTENSITY, TRANSMITTANCE,
+                     ImpossibleBranchError, UsageError, ValidationError, check)
 from .linalg import binary_entropy, outer, psd_sqrt, von_neumann_entropy
 
 OUTCOMES = ("+", "-", "?")
@@ -67,13 +68,9 @@ class LossPovm:
     f_inconclusive: np.ndarray
 
     def element(self, delta: str) -> np.ndarray:
-        if delta == "+":
-            return self.f_plus
-        if delta == "-":
-            return self.f_minus
-        if delta == "?":
-            return self.f_inconclusive
-        raise ValidationError(f"announcement must be one of {OUTCOMES}, got {delta!r}")
+        if delta not in OUTCOMES:
+            raise ValidationError(f"announcement must be one of {OUTCOMES}, got {delta!r}")
+        return (self.f_plus, self.f_minus, self.f_inconclusive)[OUTCOMES.index(delta)]
 
 
 def loss_povm(mu: float, eta: float) -> LossPovm:
@@ -81,12 +78,11 @@ def loss_povm(mu: float, eta: float) -> LossPovm:
 
     The elements are exact rationals in xi, omega and the subspace
     amplitudes; F+ + F- + F? = identity holds identically because
-    xi^2 omega = exp(-2 mu).
+    xi^2 omega = exp(-2 mu).  mu below errors.POVM_MU_MIN is refused, not
+    built: there 8 c1^4, about 8 mu^2, underflows to 0.
     """
-    if not 0.0 < mu < math.inf:  # also false for NaN
-        raise ValidationError(f"intensity must be finite and > 0, got {mu!r}")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
+    check("intensity", mu, POVM_INTENSITY)
+    check("transmittance", eta, TRANSMITTANCE)
     c0, c1 = basis_coeffs(mu)
     c02 = c0 * c0
     c12 = c1 * c1
@@ -186,12 +182,9 @@ def holevo(povm: LossPovm, delta: str) -> float:
 
 def link_rate(mu: float, eta: float, delta_ec: float = 0.0) -> tuple:
     """One link's (sift, chi, fraction, bits_per_pulse), from the closed forms above."""
-    if not 0.0 <= mu < math.inf:  # also false for NaN
-        raise ValidationError(f"intensity must be finite and >= 0, got {mu!r}")
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"transmittance must lie in (0, 1], got {eta!r}")
-    if not 0.0 <= delta_ec < math.inf:
-        raise ValidationError(f"error-correction leakage must be finite and >= 0, got {delta_ec!r}")
+    check("intensity", mu, NON_NEGATIVE)
+    check("transmittance", eta, TRANSMITTANCE)
+    check("error-correction leakage", delta_ec, NON_NEGATIVE)
     se = math.sqrt(eta)
     sift = 1.0 - math.exp(-2.0 * se * mu)
     # mu * (1 - se) first: at eta == 1 it is 0 even where 4 * mu overflows.
@@ -202,10 +195,12 @@ def link_rate(mu: float, eta: float, delta_ec: float = 0.0) -> tuple:
 
 
 def transmittance_from_distance(distance_km: float) -> float:
-    """End-to-end transmittance of distance_km of standard fiber at 0.2 dB/km."""
-    if not 0.0 <= distance_km < math.inf:  # also false for NaN
-        raise ValidationError(f"distance must be finite and >= 0, got {distance_km!r}")
-    return 10.0 ** (-FIBER_DB_PER_KM * distance_km / 10.0)
+    """End-to-end transmittance of distance_km of fiber at 0.2 dB/km; refused where it is 0."""
+    eta = 10.0 ** (-FIBER_DB_PER_KM * check("distance", distance_km, NON_NEGATIVE) / 10.0)
+    if not eta:
+        raise ValidationError(
+            f"distance {distance_km!r} km is too long: its transmittance underflows to 0")
+    return eta
 
 
 def asymptotic_rate(links, delta_ec: float = 0.0) -> tuple:
@@ -228,11 +223,9 @@ def symmetric_rate(mu: float, eta: float, delta_ec: float = 0.0) -> float:
 
 def optimize_intensity(eta: float, mu_grid) -> tuple:
     """Grid argmax of the symmetric-link rate; ties go to the smaller mu."""
-    grid = sorted(float(m) for m in mu_grid)
+    grid = sorted(float(check("intensity grid", m, POSITIVE)) for m in mu_grid)
     if not grid:
         raise UsageError("intensity grid must not be empty")
-    if grid[0] <= 0:
-        raise ValidationError(f"intensity grid must be positive, got {grid[0]!r}")
     mu_star, rate_star = grid[0], symmetric_rate(grid[0], eta)
     for mu in grid[1:]:
         r = symmetric_rate(mu, eta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PROBABILITY, ValidationError, check
 
 HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -37,14 +37,11 @@ def check_hermitian(op) -> np.ndarray:
 
 
 def check_density(rho) -> np.ndarray:
-    """Validate the density-operator invariants: hermitian, trace 1, PSD."""
-    h = check_hermitian(rho)
+    """Validate the density-operator invariants: hermitian, PSD, trace 1."""
+    h = check_psd(rho)
     tr = np.trace(h).real
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValidationError(f"density operator must have trace 1, got {tr!r}")
-    w = np.linalg.eigvalsh(h)
-    if w.min() < PSD_EIGENVALUE_FLOOR:
-        raise ValidationError(f"density operator has negative eigenvalue {w.min():.3e}")
     return h
 
 
@@ -73,8 +70,7 @@ def von_neumann_entropy(rho) -> float:
 
 def binary_entropy(z: float) -> float:
     """Binary Shannon entropy h(z) = -z log2 z - (1-z) log2(1-z), in bits."""
-    if not 0.0 <= z <= 1.0:
-        raise ValidationError(f"binary_entropy argument must lie in [0, 1], got {z!r}")
+    check("binary_entropy argument", z, PROBABILITY)
     out = 0.0
     for p in (z, 1.0 - z):
         if p > 0.0:

@@ -45,7 +45,8 @@ from operator import index, itemgetter
 
 import numpy as np
 
-from .errors import PlanningError, UsageError, ValidationError
+from .errors import (FINITE, POSITIVE, PlanningError, UsageError, ValidationError, check,
+                     in_domain)
 from .keyrate import asymptotic_rate, transmittance_from_distance
 
 
@@ -57,14 +58,6 @@ def _id_key(party):
     return (1, str(party), not isinstance(party, str))
 
 
-def _finite(v) -> bool:
-    """Whether the real number v is finite and within float range: an int no float holds is not."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 def _scalar_id(pid):
     """Return pid if it is a JSON scalar: a string, a finite number, a bool or None.
 
@@ -74,8 +67,8 @@ def _scalar_id(pid):
     """
     if pid is not None and not isinstance(pid, (str, int, float)):  # bool is an int
         raise ValidationError(f"party id must be a string or a number, got {pid!r}")
-    if isinstance(pid, (int, float)) and not _finite(pid):
-        raise ValidationError(f"party id must be finite and within float range, got {pid!r}")
+    if isinstance(pid, (int, float)) and not isinstance(pid, bool):
+        check("party id", pid, FINITE)
     return pid
 
 
@@ -131,11 +124,10 @@ class PartyGraph:
             pid = _scalar_id(entry["id"])
             if "x" in entry and "y" in entry:
                 x, y = entry["x"], entry["y"]
-                for v in (x, y):
-                    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not _finite(v):
-                        raise ValidationError(
-                            f"party {pid!r} coordinates must be finite numbers, got ({x!r}, {y!r})"
-                        )
+                if not (in_domain(x, FINITE) and in_domain(y, FINITE)):
+                    raise ValidationError(
+                        f"party {pid!r} coordinates must be finite numbers, got ({x!r}, {y!r})"
+                    )
                 coords[pid] = (float(x), float(y))
             if pid in listed:
                 raise ValidationError(f"duplicate party id {pid!r}")
@@ -155,8 +147,8 @@ class PartyGraph:
             # and an overflow (inf km) can make an edge invalid.
             kms = list(starmap(math.dist, combinations([coords[p] for p in ids], 2)))
             edges = [(i, j, km) for (i, j), km in zip(combinations(range(len(ids)), 2), kms)]
-            if kms and not (min(kms) > 0 and max(kms) < math.inf):
-                i, j, km = next(e for e in edges if not 0 < e[2] < math.inf)
+            if kms and not (in_domain(min(kms), POSITIVE) and in_domain(max(kms), POSITIVE)):
+                i, j, km = next(e for e in edges if not in_domain(e[2], POSITIVE))
                 raise ValidationError(
                     f"edge ({ids[i]!r}, {ids[j]!r}) must have a finite distance > 0, got {km!r}"
                 )
@@ -172,16 +164,10 @@ class PartyGraph:
                 raise ValidationError(f"edge ({a!r}, {b!r}) references unknown party") from None
             if i == j:
                 raise ValidationError(f"self-loop on party {ids[i]!r}")
-            if type(km) is not float and (
-                isinstance(km, bool) or not isinstance(km, numbers.Real)
-            ):
-                raise ValidationError(
-                    f"edge ({ids[i]!r}, {ids[j]!r}) distance must be a number, got {km!r}"
-                )
-            if not (_finite(km) and km > 0):
-                raise ValidationError(
-                    f"edge ({ids[i]!r}, {ids[j]!r}) must have a finite distance > 0, got {km!r}"
-                )
+            if not in_domain(km, POSITIVE):
+                what = ("must have a finite distance > 0" if isinstance(km, numbers.Real)
+                        and not isinstance(km, bool) else "distance must be a number")
+                raise ValidationError(f"edge ({ids[i]!r}, {ids[j]!r}) {what}, got {km!r}")
             clean.append((i, j, float(km)) if i < j else (j, i, float(km)))
         return cls(parties=ids, edges=tuple(clean))
 

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BELOW_ONE, COUNT, NON_NEGATIVE, SEED, ValidationError, check
 from .keyrate import link_rate, transmittance_from_distance
 from .linalg import binary_entropy
 
@@ -69,24 +68,13 @@ class SessionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "arm_lengths", tuple(self.arm_lengths))
-        for name in ("n_pulses", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.n_pulses < 1:
-            raise ValidationError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
-        if not 0.0 <= self.mu < math.inf:  # also false for NaN
-            raise ValidationError(f"mu must be finite and >= 0, got {self.mu!r}")
+        for name, domain in (("n_pulses", COUNT), ("mu", NON_NEGATIVE), ("y0", BELOW_ONE),
+                             ("dark_count_prob", BELOW_ONE), ("seed", SEED)):
+            check(name, getattr(self, name), domain)
         if len(self.arm_lengths) != 4:
             raise ValidationError("arm_lengths must hold four lengths (l_A, l_B, l_B', l_C)")
-        if not all(0.0 <= l < math.inf for l in self.arm_lengths):
-            raise ValidationError("arm lengths must be finite and >= 0")
-        for name in ("y0", "dark_count_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p < 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1), got {p!r}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for length in self.arm_lengths:
+            check("arm lengths", length, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

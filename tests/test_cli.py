@@ -113,7 +113,15 @@ class TestKeyrateCommand:
     def test_underflowed_transmittance_is_a_clean_error(self, capsys):
         assert dispatch(["keyrate", "--distance-km", "1e6"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: transmittance must lie in (0, 1], got 0.0\n"
+        assert err == ("error: distance 500000.0 km is too long: "
+                       "its transmittance underflows to 0\n")
+
+    def test_subnormal_transmittance_keeps_its_row(self, capsys):
+        # 16000 km per link has a transmittance of 1e-320: subnormal, but not 0.
+        assert dispatch(["keyrate", "--distance-km", "32000"]) == 0
+        (row,) = read_csv(capsys.readouterr().out)
+        assert float(row["eta"]) == transmittance_from_distance(16000.0) > 0.0
+        assert float(row["rate"]) == 0.0
 
     @pytest.mark.parametrize("flags", [["--arm-km", "1", "2", "3", "400"], ["--distance-km", "77"]])
     def test_distance_sweep_refuses_the_arm_flags(self, flags, capsys):
@@ -678,7 +686,8 @@ class TestSweepParsing:
     def test_grid_values_are_python_floats(self, capsys):
         assert [type(x) for x in parse_sweep("mu:0.1:1.0:4")[1]] == [float] * 4
         assert dispatch(["keyrate", "--sweep", "distance_km:0:1e300:3"]) == 1
-        assert capsys.readouterr().err == "error: transmittance must lie in (0, 1], got 0.0\n"
+        assert capsys.readouterr().err == ("error: distance 2.5e+299 km is too long: "
+                                           "its transmittance underflows to 0\n")
 
     def test_bad_variable(self):
         with pytest.raises(UsageError):

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import ETA_GRID, MU_GRID
 from twinfield_qka.coherent import basis_coeffs, signal_vector
-from twinfield_qka.errors import ImpossibleBranchError, UsageError, ValidationError
+from twinfield_qka.errors import POVM_MU_MIN, ImpossibleBranchError, UsageError, ValidationError
 from twinfield_qka.keyrate import (
     announcement_probability,
     asymptotic_rate,
@@ -46,6 +46,13 @@ class TestLossPovm:
     @pytest.mark.parametrize("mu", [math.nan, math.inf])
     def test_non_finite_intensity_rejected(self, mu):
         with pytest.raises(ValidationError, match="intensity must be finite"):
+            loss_povm(mu, 0.5)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-320])
+    def test_intensity_whose_square_underflows_is_refused(self, mu):
+        # 8 c1^4, about 8 mu^2, would be 0: this used to raise ZeroDivisionError.
+        words = f"intensity must be finite and >= {POVM_MU_MIN!r}, got {mu!r}"
+        with pytest.raises(ValidationError, match=words):
             loss_povm(mu, 0.5)
 
 
@@ -228,6 +235,13 @@ class TestTransmittance:
     def test_non_finite_rejected(self, km):
         with pytest.raises(ValidationError, match="distance must be finite"):
             transmittance_from_distance(km)
+
+    def test_underflow_is_refused_under_the_distance(self):
+        # 16000 km is 1e-320, subnormal but not 0; 16500 km underflows to 0.
+        assert 0.0 < transmittance_from_distance(16000.0) < math.ldexp(1.0, -1022)
+        with pytest.raises(ValidationError, match=r"^distance 16500\.0 km is too long: "
+                                                  "its transmittance underflows to 0$"):
+            transmittance_from_distance(16500.0)
 
 
 class TestOptimizeIntensity:

@@ -1,8 +1,11 @@
 """Property tests: invariants that must hold for every input, not just sampled ones."""
 
 import argparse
+import ast
+import cmath
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -19,8 +22,20 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from oracles import FIG_SEVEN, ID_SLOTS, edge_entries, prufer_edges, walk_to_root  # noqa: E402
+import twinfield_qka as api  # noqa: E402
 from twinfield_qka import cli  # noqa: E402
 from twinfield_qka.cli import _plan_json  # noqa: E402
+from twinfield_qka.errors import (  # noqa: E402
+    BELOW_ONE,
+    COUNT,
+    NON_NEGATIVE,
+    POVM_INTENSITY,
+    PROBABILITY,
+    SEED,
+    TRANSMITTANCE,
+    ValidationError,
+    in_domain,
+)
 from twinfield_qka.keyrate import asymptotic_rate, link_rate  # noqa: E402
 from twinfield_qka.network import (  # noqa: E402
     PartyGraph,
@@ -377,6 +392,164 @@ def accepted_cases(key):
 def test_in_domain_flag_passes_the_check(case):
     args = cli._parser().parse_args(flag_argv(*case, sweep=False))
     cli._check_flags(args)
+
+
+# --- the library's numeric domains -------------------------------------------
+
+#: (exported callable, argument, domain): each float- or int-annotated
+#: parameter of the package's API, and the domain it is held to.
+LIBRARY = [
+    (api.basis_coeffs, "mu", NON_NEGATIVE),
+    (api.signal_vector, "mu", NON_NEGATIVE),
+    (api.correlated_mixture, "mu", NON_NEGATIVE),
+    (api.qmin_pair_closed, "mu", NON_NEGATIVE),
+    (api.discriminate, "mu", NON_NEGATIVE),
+    (api.compose_error, "q1", PROBABILITY),
+    (api.compose_error, "q2", PROBABILITY),
+    (api.binary_entropy, "z", PROBABILITY),
+    (api.loss_povm, "mu", POVM_INTENSITY),
+    (api.loss_povm, "eta", TRANSMITTANCE),
+    (api.link_rate, "mu", NON_NEGATIVE),
+    (api.link_rate, "eta", TRANSMITTANCE),
+    (api.link_rate, "delta_ec", NON_NEGATIVE),
+    (api.symmetric_rate, "mu", NON_NEGATIVE),
+    (api.symmetric_rate, "eta", TRANSMITTANCE),
+    (api.symmetric_rate, "delta_ec", NON_NEGATIVE),
+    (api.asymptotic_rate, "delta_ec", NON_NEGATIVE),
+    (api.optimize_intensity, "eta", TRANSMITTANCE),
+    (api.transmittance_from_distance, "distance_km", NON_NEGATIVE),
+    (api.plan_rates, "mu", NON_NEGATIVE),
+    (api.plan_rates, "delta_ec", NON_NEGATIVE),
+    (api.plan_network, "mu", NON_NEGATIVE),
+    (api.plan_network, "delta_ec", NON_NEGATIVE),
+    (api.SessionConfig, "n_pulses", COUNT),
+    (api.SessionConfig, "mu", NON_NEGATIVE),
+    (api.SessionConfig, "y0", BELOW_ONE),
+    (api.SessionConfig, "dark_count_prob", BELOW_ONE),
+    (api.SessionConfig, "seed", SEED),
+]
+
+#: Exported classes that hold results the package computed; it never checks them.
+RECORDS = {api.LossPovm, api.DiscriminationResult, api.SessionResult, api.NetworkPlan}
+
+#: A valid value of each required argument that a row does not draw.
+VALID = {
+    "sa": 1, "sb": 1, "parity": 1, "mu": 0.2, "q1": 0.1, "q2": 0.1, "z": 0.3, "eta": 0.5,
+    "links": [(0.2, 0.5), (0.3, 0.1)], "mu_grid": [0.1, 0.2], "distance_km": 10.0,
+    "segments": [api.Segment(members=(0, 1, 2), center=1, arm_distances=(10.0, 20.0))],
+    "graph": PartyGraph.build(**FIG_SEVEN), "n_pulses": 10,
+}
+
+
+def call_with(fn, arg, x):
+    """fn called with x as arg, and a valid value for each other required argument."""
+    params = inspect.signature(fn).parameters
+    kwargs = {p: VALID[p] for p, v in params.items() if v.default is v.empty and p != arg}
+    return fn(**kwargs, **{arg: x})
+
+
+def is_integer_domain(domain):
+    return type(domain[1]) is int
+
+
+def refused_values(domain):
+    """NaN, +-inf, a bool, a string, the values just past each bound, and reals no float holds."""
+    _, lo, hi = domain
+    common = [math.nan, math.inf, -math.inf, True, False, "0.5", -10**400]
+    if is_integer_domain(domain):  # ints compare exactly, so 10**400 is in
+        return common + [lo - 1, float(lo), lo + 0.5, None]
+    past_hi = [hi, 1e300] if hi < math.inf else []
+    return common + [math.nextafter(lo, -math.inf), -1e300, *past_hi, 10**400, 1j]
+
+
+def refused_library_cases(row):
+    _, _, domain = row
+    _, lo, hi = domain
+    if is_integer_domain(domain):
+        drawn = st.integers(max_value=lo - 1) | st.floats(allow_nan=False)
+    else:
+        drawn = st.floats(max_value=math.nextafter(lo, -math.inf))
+        if hi < math.inf:
+            drawn |= st.floats(min_value=hi)
+    return st.tuples(st.just(row), st.sampled_from(refused_values(domain)) | drawn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(LIBRARY).flatmap(refused_library_cases))
+@with_examples((row, x) for row in LIBRARY for x in refused_values(row[2]))
+def test_out_of_domain_argument_is_refused(case):
+    """A ValidationError from the domain check itself, naming the value, and nothing else."""
+    (fn, arg, _), x = case
+    with pytest.raises(ValidationError) as refused:
+        call_with(fn, arg, x)
+    assert str(refused.value).endswith(f", got {x!r}")
+
+
+def finite(result):
+    """Whether every number in result (dataclasses, sequences, arrays) is finite."""
+    if dataclasses.is_dataclass(result):
+        return all(finite(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return all(map(finite, result))
+    if isinstance(result, np.ndarray):
+        return bool(np.isfinite(result).all())
+    return not isinstance(result, (int, float, complex)) or cmath.isfinite(result)
+
+
+def accepted_library_cases(row):
+    _, _, domain = row
+    _, lo, hi = domain
+    if is_integer_domain(domain):
+        top = lo + 10**30
+        drawn = st.integers(lo, top)
+    else:
+        top = math.nextafter(hi, -math.inf)
+        drawn = st.floats(lo, top) | st.integers(math.ceil(lo), min(math.floor(top), 10**300))
+    return st.tuples(st.just(row), st.sampled_from([lo, top]) | drawn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(LIBRARY).flatmap(accepted_library_cases))
+@with_examples((row, x) for row in LIBRARY for x in (row[2][1], 1e-320, 5e-324, 0.5, 1.0, 1e300)
+               if in_domain(x, row[2]))
+def test_in_domain_argument_gives_a_finite_result_or_a_validation_error(case):
+    (fn, arg, _), x = case
+    try:
+        result = call_with(fn, arg, x)
+    except ValidationError:  # e.g. cosh(mu) overflows, or a transmittance underflows
+        return
+    assert finite(result)
+
+
+def test_every_numeric_parameter_of_the_api_has_a_row():
+    """A float or int argument added without a row in LIBRARY would go untested."""
+    rows = {(fn, arg) for fn, arg, _ in LIBRARY}
+    for name, obj in vars(api).items():
+        if (name.startswith("_") or not callable(obj) or obj in RECORDS
+                or isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.annotation in ("float", "int", float, int):
+                assert (obj, param.name) in rows, f"{name}({param.name}) has no row"
+    assert all(arg in inspect.signature(fn).parameters for fn, arg, _ in LIBRARY)
+
+
+def test_only_errors_holds_a_number_to_a_bound_of_inf():
+    """Every domain check goes through errors.check: no module but errors.py compares
+    against math.inf or defines _finite, as the hand-written checks did."""
+    found = []
+    for path in sorted(Path(api.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "inf"
+                    and isinstance(n.value, ast.Name) and n.value.id == "math"
+                    for n in (node.left, *node.comparators)):
+                found.append(f"{path.name}:{node.lineno} compares against math.inf")
+            elif isinstance(node, ast.FunctionDef) and node.name == "_finite":
+                found.append(f"{path.name}:{node.lineno} defines _finite")
+    assert found == []
 
 
 #: Flag values, good for some flags and bad for others; NET and OUT stand for
