@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import hashlib
 import io
 import json
 import subprocess
@@ -26,23 +25,6 @@ from twinfield_qka.cli import _segment_keys, dispatch, emit_csv, parse_sweep
 from twinfield_qka.errors import UsageError
 from twinfield_qka.keyrate import link_rate, transmittance_from_distance
 from twinfield_qka.network import PartyGraph, Segment, plan_network, reconcile_network
-
-#: Coordinate parties whose ids need escapes in JSON (a quote, a backslash,
-#: NUL, a comma, a bracket, non-ASCII), an int beyond 2**53, null and true.
-ODD_IDS_JSON = json.dumps({"parties": [
-    {"id": 'quote"d', "x": 0.0, "y": 0.0},
-    {"id": "back\\slash", "x": 7.5, "y": 1.25},
-    {"id": "nul\x00byte", "x": 15.0, "y": -3.0},
-    {"id": "comma,", "x": 22.0, "y": 4.5},
-    {"id": "bracket]", "x": 9.0, "y": 12.0},
-    {"id": "]\x00[", "x": 30.5, "y": 0.5},
-    {"id": "Z\u00fcrich", "x": 3.0, "y": 20.0},
-    {"id": "\u6771\u4eac", "x": 18.0, "y": 18.0},
-    {"id": 2**53 + 1, "x": 40.0, "y": 9.0},
-    {"id": None, "x": 52.0, "y": 16.0},
-    {"id": True, "x": 35.0, "y": -6.0},
-    {"id": 7.5, "x": 46.0, "y": 2.0},
-]})
 
 
 def read_csv(text):
@@ -274,20 +256,6 @@ class TestPlanCommand:
         assert dispatch(["plan", str(net)]) == 0
         assert capsys.readouterr().out == first
 
-    # The corpus pins the seven-party network and the demo map with the same argv.
-    @pytest.mark.parametrize("net, flags, digest", [
-        (ODD_IDS_JSON, ["--key-length", "37"],
-         "b18cef5f4f527f634ad6dc74fe1509061a5b0b78975238264f80e09c327e1ca1"),
-    ], ids=["odd-ids"])
-    def test_output_pinned(self, net, flags, digest, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(net))
-        assert dispatch(["plan", "-", "--seed", "3", *flags]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-        out = tmp_path / "plan.json"
-        monkeypatch.setattr("sys.stdin", io.StringIO(net))
-        assert dispatch(["plan", "-", "--seed", "3", *flags, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
-
     def test_global_key_digest_names_the_reconciled_key(self, capsys, monkeypatch):
         text = json.dumps(FIG_SEVEN)
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -479,31 +447,6 @@ class TestPlanCommand:
         assert "Traceback" not in captured.err
 
 
-class TestOutputPinned:
-    """Stdout of keyrate, discriminate and simulate, pinned byte for byte."""
-
-    @pytest.mark.parametrize("argv, digest", [
-        (["keyrate", "--sweep", "distance_km:0:400:81"],
-         "ad93f092bf2a78535a5d77a3bba8832ec0288857a7e42926e8f120a596cd4252"),
-        (["keyrate", "--mu", "0.3", "--mu2", "0.1", "--arm-km", "10", "20", "30", "40",
-          "--delta-ec", "0.05"],
-         "b836274a85fb77d04f2d3c81e63e1601a5b0c970b4ad62f9553abd8513665f18"),
-        (["keyrate", "--sweep", "mu:0.01:1.5:50", "--arm-km", "5", "15", "25", "35"],
-         "d2bfb4f28aef890933ee03804ee822972c4518550764ae25b683d5c36cdebe78"),
-        (["discriminate", "--sweep", "mu:0.01:1.5:150"],
-         "c350052a357a70f3e67fa69268b77d975cb5927d147f12fa27dbcf1176d86709"),
-        (["simulate", "--pulses", "3000000", "--distance-km", "250", "--seed", "11"],
-         "5788588a6be8808696a9b36b283d3fcb8e5b23012c7465a9ab237882b92540ab"),
-        (["simulate", "--format", "csv", "--pulses", "3000000", "--distance-km", "250",
-          "--seed", "11"],
-         "b36680b104dfecdc9be116a4b8e74e510aadf9cb9306e7ea6955be4823d47bcc"),
-    ], ids=["keyrate-distance", "keyrate-asymmetric", "keyrate-mu", "discriminate-mu",
-            "simulate-json", "simulate-csv"])
-    def test_stdout(self, argv, digest, capsys):
-        assert dispatch(argv) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
-
-
 class TestOutOfRangeInputs:
     """Inputs that overflow or exhaust memory end in one error line, not a traceback."""
 
@@ -512,7 +455,6 @@ class TestOutOfRangeInputs:
         ["discriminate", "--mu", "1e300"],
         ["discriminate", "--sweep", "mu:0:1000:3"],
         ["plan", "NET", "--key-length", "1000000000000000"],  # numpy refuses 909 TiB at once
-        ["plan", "NET", "--seed", "-1"],
         ["plan", "DEEP_ARRAY"],  # nested deeper than json.loads can recurse
         ["plan", "DEEP_PARTIES"],
         ["simulate", "--distance-km", "40000"],  # link transmittance underflows to 0

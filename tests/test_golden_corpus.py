@@ -5,14 +5,17 @@ code and the sha256 of stdout, stderr and the --out file (null when the run
 leaves none).  The test replays each entry through `cli.dispatch` in a fresh
 working directory, so relative --out paths land there.
 
-Regenerate the corpus (only after a deliberate output change, which the
-change log then lists) with:
+The corpus is the only place where output bytes are pinned.  To add an
+entry, add its (id, argv, stdin) to `cases()`, with a network document
+written out in this module, then regenerate.  Regenerate the corpus (to
+add entries, or after a deliberate output change, which the change log
+then lists) with:
 
     PYTHONPATH=src python tests/test_golden_corpus.py
 
 Before it rewrites the file, it prints one line per entry that is added,
 removed or changed (in exit code, a digest, argv or stdin): the list the
-change log needs.
+change log needs.  Adding entries prints only `added:` lines.
 """
 
 import contextlib
@@ -75,6 +78,16 @@ ODD_IDS = {"parties": [
     {"id": "café ☃", "x": 12.0, "y": 0.5}, {"id": 2**53 + 1, "x": 1.5, "y": 4.0},
     {"id": None, "x": 4.5, "y": 5.0}, {"id": True, "x": 7.5, "y": 4.5},
 ]}
+#: Coordinate parties whose ids hold the plan writer's NUL and bracket
+#: separators, other escapes and non-ASCII, an int beyond 2**53, null, true and 7.5.
+SEPARATOR_IDS = {"parties": [
+    {"id": 'quote"d', "x": 0.0, "y": 0.0}, {"id": "back\\slash", "x": 7.5, "y": 1.25},
+    {"id": "nul\x00byte", "x": 15.0, "y": -3.0}, {"id": "comma,", "x": 22.0, "y": 4.5},
+    {"id": "bracket]", "x": 9.0, "y": 12.0}, {"id": "]\x00[", "x": 30.5, "y": 0.5},
+    {"id": "Z\u00fcrich", "x": 3.0, "y": 20.0}, {"id": "\u6771\u4eac", "x": 18.0, "y": 18.0},
+    {"id": 2**53 + 1, "x": 40.0, "y": 9.0}, {"id": None, "x": 52.0, "y": 16.0},
+    {"id": True, "x": 35.0, "y": -6.0}, {"id": 7.5, "x": 46.0, "y": 2.0},
+]}
 MIXED_TREE = {
     "parties": [True, None, 2**53 + 1, "tab\there", "ümläut", 2.5, -3, "\\\"\n"],
     "edges": [{"a": a, "b": b, "km": km} for a, b, km in [
@@ -126,6 +139,7 @@ def cases():
         ("discriminate-mu-sweep-with-mu", ["discriminate", "--sweep", "mu:0.1:1:3",
                                            "--mu", "0.5"], ""),
         ("discriminate-minus-infinity-mu", ["discriminate", "--mu", "-Infinity"], ""),
+        ("discriminate-fine-sweep", ["discriminate", "--sweep", "mu:0.01:1.5:150"], ""),
         ("keyrate-default", ["keyrate"], ""),
         ("keyrate-json", ["keyrate", "--format", "json", "--distance-km", "100"], ""),
         ("keyrate-distance-sweep", ["keyrate", "--sweep", "distance_km:0:300:7"], ""),
@@ -155,6 +169,11 @@ def cases():
         ("keyrate-mu-sweep-with-mu", ["keyrate", "--sweep", "mu:0.1:1:3", "--mu", "0.5"], ""),
         ("keyrate-bad-sweep", ["keyrate", "--sweep", "distance_km:0:10"], ""),
         ("keyrate-bad-float", ["keyrate", "--mu", "abc"], ""),
+        ("keyrate-fine-distance-sweep", ["keyrate", "--sweep", "distance_km:0:400:81"], ""),
+        ("keyrate-asymmetric-csv", ["keyrate", "--mu", "0.3", "--mu2", "0.1", "--arm-km",
+                                    "10", "20", "30", "40", "--delta-ec", "0.05"], ""),
+        ("keyrate-fine-mu-sweep", ["keyrate", "--sweep", "mu:0.01:1.5:50",
+                                   "--arm-km", "5", "15", "25", "35"], ""),
         ("simulate-default", ["simulate"], ""),
         ("simulate-0km-csv", [*sim, "--format", "csv", "--seed", "1"], ""),
         ("simulate-30km", [*sim, "--distance-km", "30", "--seed", "4"], ""),
@@ -181,10 +200,16 @@ def cases():
         ("simulate-minus-nan-y0", ["simulate", "--y0", "-nan"], ""),
         ("simulate-underflow", ["simulate", "--distance-km", "1e6"], ""),
         ("simulate-bad-int", ["simulate", "--pulses", "abc"], ""),
+        # Three blocks of 2^20 pulses: the only runs that join blocks.
+        ("simulate-3m-250km", ["simulate", "--pulses", "3000000", "--distance-km", "250",
+                               "--seed", "11"], ""),
+        ("simulate-3m-250km-csv", ["simulate", "--format", "csv", "--pulses", "3000000",
+                                   "--distance-km", "250", "--seed", "11"], ""),
         ("selftest", ["selftest"], ""),
     ]
     pinned = [("fig-seven", FIG_SEVEN, []), ("demo-map", DEMO_MAP, []),
-              ("odd-ids", ODD_IDS, ["--key-length", "37"])]
+              ("odd-ids", ODD_IDS, ["--key-length", "37"]),
+              ("separator-ids", SEPARATOR_IDS, ["--key-length", "37"])]
     for name, doc, flags in pinned:
         text = json.dumps(doc)
         yield f"plan-{name}", ["plan", "-", "--seed", "3", *flags], text

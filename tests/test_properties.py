@@ -9,6 +9,7 @@ import inspect
 import io
 import json
 import math
+import re
 import tempfile
 from itertools import combinations
 from pathlib import Path
@@ -396,37 +397,38 @@ def test_in_domain_flag_passes_the_check(case):
 
 # --- the library's numeric domains -------------------------------------------
 
-#: (exported callable, argument, domain): each float- or int-annotated
-#: parameter of the package's API, and the domain it is held to.
+#: (exported callable, argument, name, domain): each float- or int-annotated
+#: parameter of the package's API, the name its check reports and the domain it
+#: is held to.
 LIBRARY = [
-    (api.basis_coeffs, "mu", NON_NEGATIVE),
-    (api.signal_vector, "mu", NON_NEGATIVE),
-    (api.correlated_mixture, "mu", NON_NEGATIVE),
-    (api.qmin_pair_closed, "mu", NON_NEGATIVE),
-    (api.discriminate, "mu", NON_NEGATIVE),
-    (api.compose_error, "q1", PROBABILITY),
-    (api.compose_error, "q2", PROBABILITY),
-    (api.binary_entropy, "z", PROBABILITY),
-    (api.loss_povm, "mu", POVM_INTENSITY),
-    (api.loss_povm, "eta", TRANSMITTANCE),
-    (api.link_rate, "mu", NON_NEGATIVE),
-    (api.link_rate, "eta", TRANSMITTANCE),
-    (api.link_rate, "delta_ec", NON_NEGATIVE),
-    (api.symmetric_rate, "mu", NON_NEGATIVE),
-    (api.symmetric_rate, "eta", TRANSMITTANCE),
-    (api.symmetric_rate, "delta_ec", NON_NEGATIVE),
-    (api.asymptotic_rate, "delta_ec", NON_NEGATIVE),
-    (api.optimize_intensity, "eta", TRANSMITTANCE),
-    (api.transmittance_from_distance, "distance_km", NON_NEGATIVE),
-    (api.plan_rates, "mu", NON_NEGATIVE),
-    (api.plan_rates, "delta_ec", NON_NEGATIVE),
-    (api.plan_network, "mu", NON_NEGATIVE),
-    (api.plan_network, "delta_ec", NON_NEGATIVE),
-    (api.SessionConfig, "n_pulses", COUNT),
-    (api.SessionConfig, "mu", NON_NEGATIVE),
-    (api.SessionConfig, "y0", BELOW_ONE),
-    (api.SessionConfig, "dark_count_prob", BELOW_ONE),
-    (api.SessionConfig, "seed", SEED),
+    (api.basis_coeffs, "mu", "mean photon number", NON_NEGATIVE),
+    (api.signal_vector, "mu", "mean photon number", NON_NEGATIVE),
+    (api.correlated_mixture, "mu", "mean photon number", NON_NEGATIVE),
+    (api.qmin_pair_closed, "mu", "mean photon number", NON_NEGATIVE),
+    (api.discriminate, "mu", "mean photon number", NON_NEGATIVE),
+    (api.compose_error, "q1", "error probability", PROBABILITY),
+    (api.compose_error, "q2", "error probability", PROBABILITY),
+    (api.binary_entropy, "z", "binary_entropy argument", PROBABILITY),
+    (api.loss_povm, "mu", "intensity", POVM_INTENSITY),
+    (api.loss_povm, "eta", "transmittance", TRANSMITTANCE),
+    (api.link_rate, "mu", "intensity", NON_NEGATIVE),
+    (api.link_rate, "eta", "transmittance", TRANSMITTANCE),
+    (api.link_rate, "delta_ec", "error-correction leakage", NON_NEGATIVE),
+    (api.symmetric_rate, "mu", "intensity", NON_NEGATIVE),
+    (api.symmetric_rate, "eta", "transmittance", TRANSMITTANCE),
+    (api.symmetric_rate, "delta_ec", "error-correction leakage", NON_NEGATIVE),
+    (api.asymptotic_rate, "delta_ec", "error-correction leakage", NON_NEGATIVE),
+    (api.optimize_intensity, "eta", "transmittance", TRANSMITTANCE),
+    (api.transmittance_from_distance, "distance_km", "distance", NON_NEGATIVE),
+    (api.plan_rates, "mu", "intensity", NON_NEGATIVE),
+    (api.plan_rates, "delta_ec", "error-correction leakage", NON_NEGATIVE),
+    (api.plan_network, "mu", "intensity", NON_NEGATIVE),
+    (api.plan_network, "delta_ec", "error-correction leakage", NON_NEGATIVE),
+    (api.SessionConfig, "n_pulses", "n_pulses", COUNT),
+    (api.SessionConfig, "mu", "mu", NON_NEGATIVE),
+    (api.SessionConfig, "y0", "y0", BELOW_ONE),
+    (api.SessionConfig, "dark_count_prob", "dark_count_prob", BELOW_ONE),
+    (api.SessionConfig, "seed", "seed", SEED),
 ]
 
 #: Exported classes that hold results the package computed; it never checks them.
@@ -453,17 +455,18 @@ def is_integer_domain(domain):
 
 
 def refused_values(domain):
-    """NaN, +-inf, a bool, a string, the values just past each bound, and reals no float holds."""
+    """NaN, +-inf, a bool, a string, values near and far past each bound, reals no float holds."""
     _, lo, hi = domain
-    common = [math.nan, math.inf, -math.inf, True, False, "0.5", -10**400]
+    common = [math.nan, math.inf, -math.inf, True, False, "0.5", -10**400, -0.01, -0.1, -0.2, -1.0]
+    common += [x for x in (0.0, 5e-324, 1e-320) if x < lo]  # their squares are 0
     if is_integer_domain(domain):  # ints compare exactly, so 10**400 is in
-        return common + [lo - 1, float(lo), lo + 0.5, None]
-    past_hi = [hi, 1e300] if hi < math.inf else []
+        return common + [lo - 1, float(lo), 3.0, lo + 0.5, 10.5, "3", None]
+    past_hi = [hi, 1.1, 1.2, 1.5, 1e300] if hi < math.inf else []
     return common + [math.nextafter(lo, -math.inf), -1e300, *past_hi, 10**400, 1j]
 
 
 def refused_library_cases(row):
-    _, _, domain = row
+    *_, domain = row
     _, lo, hi = domain
     if is_integer_domain(domain):
         drawn = st.integers(max_value=lo - 1) | st.floats(allow_nan=False)
@@ -476,13 +479,16 @@ def refused_library_cases(row):
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(LIBRARY).flatmap(refused_library_cases))
-@with_examples((row, x) for row in LIBRARY for x in refused_values(row[2]))
+@with_examples((row, x) for row in LIBRARY for x in refused_values(row[3]))
 def test_out_of_domain_argument_is_refused(case):
-    """A ValidationError from the domain check itself, naming the value, and nothing else."""
-    (fn, arg, _), x = case
+    """A ValidationError from the domain check itself, naming the argument and the value."""
+    (fn, arg, name, domain), x = case
+    words = domain[0]
+    if is_integer_domain(domain) and (isinstance(x, bool) or not isinstance(x, int)):
+        words = "an integer"
     with pytest.raises(ValidationError) as refused:
         call_with(fn, arg, x)
-    assert str(refused.value).endswith(f", got {x!r}")
+    assert str(refused.value) == f"{name} must be {words}, got {x!r}"
 
 
 def finite(result):
@@ -497,7 +503,7 @@ def finite(result):
 
 
 def accepted_library_cases(row):
-    _, _, domain = row
+    *_, domain = row
     _, lo, hi = domain
     if is_integer_domain(domain):
         top = lo + 10**30
@@ -508,22 +514,36 @@ def accepted_library_cases(row):
     return st.tuples(st.just(row), st.sampled_from([lo, top]) | drawn)
 
 
+#: The refusals a domain allows inside its bounds: cosh(mu) overflows above
+#: mu ≈ 710, and a long distance's transmittance underflows to 0.
+IN_DOMAIN_REFUSALS = {
+    **dict.fromkeys([api.basis_coeffs, api.signal_vector, api.correlated_mixture,
+                     api.discriminate, api.loss_povm],
+                    r"mean photon number too large: cosh\(.+\) overflows"),
+    api.transmittance_from_distance:
+        r"distance .+ km is too long: its transmittance underflows to 0",
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(LIBRARY).flatmap(accepted_library_cases))
-@with_examples((row, x) for row in LIBRARY for x in (row[2][1], 1e-320, 5e-324, 0.5, 1.0, 1e300)
-               if in_domain(x, row[2]))
+@with_examples((row, x) for row in LIBRARY
+               for x in (row[3][1], 5e-324, 1e-320, 0.5, 1.0, 800.0, 1e5, 1e300,
+                         math.nextafter(row[3][2], -math.inf))
+               if in_domain(x, row[3]))
 def test_in_domain_argument_gives_a_finite_result_or_a_validation_error(case):
-    (fn, arg, _), x = case
+    (fn, arg, _, _), x = case
     try:
         result = call_with(fn, arg, x)
-    except ValidationError:  # e.g. cosh(mu) overflows, or a transmittance underflows
+    except ValidationError as refused:
+        assert re.fullmatch(IN_DOMAIN_REFUSALS.get(fn, "(?!)"), str(refused)), refused
         return
     assert finite(result)
 
 
 def test_every_numeric_parameter_of_the_api_has_a_row():
     """A float or int argument added without a row in LIBRARY would go untested."""
-    rows = {(fn, arg) for fn, arg, _ in LIBRARY}
+    rows = {(fn, arg) for fn, arg, *_ in LIBRARY}
     for name, obj in vars(api).items():
         if (name.startswith("_") or not callable(obj) or obj in RECORDS
                 or isinstance(obj, type) and issubclass(obj, Exception)):
@@ -531,7 +551,7 @@ def test_every_numeric_parameter_of_the_api_has_a_row():
         for param in inspect.signature(obj).parameters.values():
             if param.annotation in ("float", "int", float, int):
                 assert (obj, param.name) in rows, f"{name}({param.name}) has no row"
-    assert all(arg in inspect.signature(fn).parameters for fn, arg, _ in LIBRARY)
+    assert all(arg in inspect.signature(fn).parameters for fn, arg, *_ in LIBRARY)
 
 
 def test_only_errors_holds_a_number_to_a_bound_of_inf():

@@ -363,12 +363,7 @@ class TestRunSession:
             SessionConfig(n_pulses=5000, seed=3)).conclusive_counts
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            SessionConfig(n_pulses=0)
-        with pytest.raises(ValidationError):
-            SessionConfig(n_pulses=10, mu=-0.1)
-        with pytest.raises(ValidationError):
-            SessionConfig(n_pulses=10, y0=1.5)
+        # The numeric fields are held to their domains in test_properties.LIBRARY.
         with pytest.raises(ValidationError):
             SessionConfig(n_pulses=10, arm_lengths=(1.0, 1.0, 1.0))
 
